@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jk_sequence import jk_closed
-from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, XZPoint,
-                         double_chain, is_strongly_nonzero, is_zero_mod)
+from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
+                         XZPoint, double_chain, is_strongly_nonzero, is_zero_mod,
+                         montgomery_constants, projective_rhs)
 from .prover import Verdict, run_pipeline
 from .twist_tables import TWISTS
 
@@ -77,9 +78,7 @@ def minimal_doubling_exponent(n: int) -> int:
 def _on_curve_projective(x: int, y: int, z: int, a_coef: int, b_coef: int,
                          ctx: ModulusCtx) -> bool:
     lhs = ctx.mul(ctx.mul(b_coef, ctx.sqr(y)), z)
-    inner = ctx.add(ctx.add(ctx.sqr(x), ctx.mul(a_coef, ctx.mul(x, z))),
-                    ctx.sqr(z))
-    return lhs == ctx.mul(x, inner)
+    return lhs == projective_rhs(x, z, a_coef, ctx)
 
 
 def build_certificate(k: int) -> Certificate | Verdict:
@@ -101,9 +100,8 @@ def build_certificate(k: int) -> Certificate | Verdict:
         # Q is the transformed start point (B(x0 - r), B y0)
         y = ctx.mul(curve.B, res.twist.point[1] % n)
     else:
-        inner = ctx.add(ctx.add(ctx.sqr(q.x), ctx.mul(a_coef, ctx.mul(q.x, q.z))),
-                        ctx.sqr(q.z))
-        y_sq = ctx.mul(ctx.mul(q.x, inner), ctx.inv(ctx.mul(curve.B, q.z)))
+        y_sq = ctx.mul(projective_rhs(q.x, q.z, a_coef, ctx),
+                       ctx.inv(ctx.mul(curve.B, q.z)))
         y = ctx.pow_mod(y_sq, (n + 1) // 4)
         if ctx.sqr(y) != y_sq:
             # impossible once the prover said Prime
@@ -114,21 +112,8 @@ def build_certificate(k: int) -> Certificate | Verdict:
 
 
 @dataclass(frozen=True)
-class VerifyStats:
+class VerifyStats(OpCounts):
     reason: str | None  # None on success
-    multiplications: int
-    squarings: int
-    additions: int
-    gcd_calls: int
-
-    @property
-    def mults_plus_squarings(self) -> int:
-        return self.multiplications + self.squarings
-
-
-def _vstats(ctx: ModulusCtx | None, reason: str | None) -> VerifyStats:
-    m, s, a, g = ctx.op_counts() if ctx else (0, 0, 0, 0)
-    return VerifyStats(reason, m, s, a, g)
 
 
 def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
@@ -139,7 +124,7 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
     plus the order conditions then prove primality outright.
     """
     def fail(reason: str, ctx: ModulusCtx | None = None):
-        return False, _vstats(ctx, reason)
+        return False, VerifyStats.from_ctx(ctx, reason)
 
     if c.k < 2:
         return fail("k-range")
@@ -167,10 +152,8 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
         return fail("r-bound", ctx)
     if c.r > 1 and exceeds_quarter_bound(c.r - 1, n):
         return fail("r-bound", ctx)  # r must also be minimal
-    three_d = ctx.mul(3 % n, c.d)
     try:
-        b_coef = ctx.mul(ctx.add(7 % n, three_d), ctx.inv(56 * c.a % n))
-        c_coef = ctx.mul(ctx.sub(1 % n, three_d), ctx.inv(32 % n))
+        b_coef, c_coef = montgomery_constants(c.a, c.d, ctx)
     except NonInvertibleError:
         return fail("gcd", ctx)
     a_coef = ctx.sub(ctx.mul(4 % n, c_coef), 2 % n)
@@ -183,7 +166,7 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
         return fail("order-penultimate", ctx)
     if not is_zero_mod(final, ctx):
         return fail("order-final", ctx)
-    return True, _vstats(ctx, None)
+    return True, VerifyStats.from_ctx(ctx, None)
 
 
 def serialize(c: Certificate) -> str:

@@ -24,6 +24,20 @@ def _positive_k(value: str) -> int:
     return k
 
 
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the --out file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {out}: {e}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_test(args: argparse.Namespace) -> int:
     verdict, stats = prover.test_jk(args.k, args.mode)
     digits = len(str(jk_sequence.jk_closed(args.k).value))
@@ -47,17 +61,7 @@ def cmd_search(args: argparse.Namespace) -> int:
              for k, v, s in results]
     primes = sum(1 for _, v, _ in results if v.is_prime)
     lines.append(f"# survivors={len(results)} primes={primes}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -65,17 +69,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if isinstance(built, prover.Verdict):
         print("no certificate: composite")
         return 0
-    text = cert_mod.serialize(built)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(cert_mod.serialize(built), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -158,6 +158,25 @@ class ModulusCtx:
 
 
 @dataclass(frozen=True)
+class OpCounts:
+    """The four ModulusCtx counters; the base of every run's stats record."""
+
+    multiplications: int
+    squarings: int
+    additions: int
+    gcd_calls: int  # the inversions counter: every gcd and inverse
+
+    @property
+    def mults_plus_squarings(self) -> int:
+        return self.multiplications + self.squarings
+
+    @classmethod
+    def from_ctx(cls, ctx: ModulusCtx | None, *rest):
+        """ctx's counters (zeros without a context), then a subclass's fields."""
+        return cls(*(ctx.op_counts() if ctx else (0, 0, 0, 0)), *rest)
+
+
+@dataclass(frozen=True)
 class MontCurveCtx:
     d: int  # square root of -7 mod N
     r_shift: int  # the x-translation r = (-7+d)a/2
@@ -200,14 +219,29 @@ def montgomerize(a: int, x0: int, d: int,
     """
     n = ctx.N
     d %= n
-    a_res = a % n
-    seven = 7 % n
-    r = ctx.mul(ctx.mul(ctx.sub(d, seven), a_res), ctx.inv(2 % n))
-    three_d = ctx.mul(3 % n, d)
-    b_coef = ctx.mul(ctx.add(seven, three_d), ctx.inv(56 * a % n))
-    c_coef = ctx.mul(ctx.sub(1 % n, three_d), ctx.inv(32 % n))
+    r = ctx.mul(ctx.mul(ctx.sub(d, 7 % n), a % n), ctx.inv(2 % n))
+    b_coef, c_coef = montgomery_constants(a, d, ctx)
     x1 = ctx.mul(b_coef, ctx.sub(x0 % n, r))
     return MontCurveCtx(d, r, b_coef, c_coef), XZPoint(x1, 1 % n)
+
+
+def montgomery_constants(a: int, d: int, ctx: ModulusCtx) -> tuple[int, int]:
+    """(B, C) = ((7 + 3d) / (56a), (1 - 3d) / 32) mod N.
+
+    Raises NonInvertibleError when 56a shares a factor with N.
+    """
+    n = ctx.N
+    three_d = ctx.mul(3 % n, d)
+    b_coef = ctx.mul(ctx.add(7 % n, three_d), ctx.inv(56 * a % n))
+    c_coef = ctx.mul(ctx.sub(1 % n, three_d), ctx.inv(32 % n))
+    return b_coef, c_coef
+
+
+def projective_rhs(x: int, z: int, a_coef: int, ctx: ModulusCtx) -> int:
+    """x (x^2 + A x z + z^2): the right side of B y^2 z = x^3 + A x^2 z + x z^2."""
+    inner = ctx.add(ctx.add(ctx.sqr(x), ctx.mul(a_coef, ctx.mul(x, z))),
+                    ctx.sqr(z))
+    return ctx.mul(x, inner)
 
 
 def xz_double(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx) -> XZPoint:
@@ -224,7 +258,9 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     """Apply xz_double count times; return (final, penultimate, kept).
 
     keep_at = s retains the s-th iterate (s = 0 is the input point) for
-    certificate extraction.  count must be >= 1.
+    certificate extraction.  count must be >= 1.  The chain never stops
+    early: z = 0 is absorbing under xz_double, so callers read "some
+    iterate before the last is zero" as penultimate.z == 0.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .jk_sequence import forced_composite, jk_closed
-from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, XZPoint,
-                         is_strongly_nonzero, is_zero_mod, montgomerize,
-                         sqrt_minus7, xz_double)
+from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
+                         XZPoint, double_chain, is_strongly_nonzero,
+                         is_zero_mod, montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
 from .twist_tables import TwistChoice, select_twist
 
@@ -63,23 +63,15 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class RunStats:
-    multiplications: int
-    squarings: int
-    additions: int
-    gcd_calls: int
+class RunStats(OpCounts):
     elapsed: float  # seconds
     step_reached: int  # 1..8
-    early_exit: bool = False  # chain hit zero before iterate k+1
+    early_exit: bool = False  # an iterate <= k was zero; chain still ran k+1
     step2_seconds: float = 0.0
     step7_seconds: float = 0.0
     step7_multiplications: int = 0
     step7_squarings: int = 0
     step7_additions: int = 0
-
-    @property
-    def mults_plus_squarings(self) -> int:
-        return self.multiplications + self.squarings
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,8 @@ class PipelineResult:
 def _stats(ctx: ModulusCtx | None, t0: float, step: int, *, early: bool = False,
            s2: float = 0.0, s7: float = 0.0,
            s7ops: tuple[int, int, int] = (0, 0, 0)) -> RunStats:
-    m, s, a, g = ctx.op_counts() if ctx else (0, 0, 0, 0)
-    return RunStats(m, s, a, g, time.perf_counter() - t0, step, early,
-                    s2, s7, s7ops[0], s7ops[1], s7ops[2])
+    return RunStats.from_ctx(ctx, time.perf_counter() - t0, step, early,
+                             s2, s7, *s7ops)
 
 
 def run_pipeline(k: int, mode: str = MODE_STRONG, jk: int | None = None,
@@ -141,23 +132,13 @@ def run_pipeline(k: int, mode: str = MODE_STRONG, jk: int | None = None,
 
     before = ctx.op_counts()
     t7 = time.perf_counter()
-    kept = start if keep_at == 0 else None
-    prev, cur = start, start
-    zero_at = None
-    for i in range(1, k + 2):  # step 7: k+1 doublings
-        prev = cur
-        cur = xz_double(cur, curve, ctx)
-        if keep_at == i:
-            kept = cur
-        if i <= k and cur.z == 0:
-            zero_at = i  # order < 2^(k+1): composite, rest of chain moot
-            break
+    cur, prev, kept = double_chain(start, curve, ctx, k + 1, keep_at)  # step 7
     s7 = time.perf_counter() - t7
     after = ctx.op_counts()
     s7ops = (after[0] - before[0], after[1] - before[1], after[2] - before[2])
 
-    if zero_at is not None:
-        v = Verdict(VerdictKind.CURVE_TEST)
+    if prev.z == 0:  # zero is absorbing: some iterate <= k was zero
+        v = Verdict(VerdictKind.CURVE_TEST)  # order < 2^(k+1): composite
         stats = _stats(ctx, t0, 7, early=True, s2=s2, s7=s7, s7ops=s7ops)
         return PipelineResult(v, stats, n, twist, curve, start, kept, ctx)
 
@@ -229,9 +210,7 @@ def bench_run(k: int) -> tuple[float, float]:
     d = sqrt_minus7(ctx)
     step2 = time.perf_counter() - t
     curve = MontCurveCtx(d or 0, 0, 1 % n, (d if d is not None else 3) % n)
-    point = XZPoint(5 % n, 1 % n)
     t = time.perf_counter()
-    for _ in range(k + 1):
-        point = xz_double(point, curve, ctx)
+    double_chain(XZPoint(5 % n, 1 % n), curve, ctx, k + 1)
     step7 = time.perf_counter() - t
     return step2, step7

@@ -39,10 +39,6 @@ def qi_norm(x: QuadInt) -> int:
     return x.u * x.u + x.u * x.v + 2 * x.v * x.v
 
 
-def qi_add(x: QuadInt, y: QuadInt) -> QuadInt:
-    return QuadInt(x.u + y.u, x.v + y.v)
-
-
 def qi_pow(x: QuadInt, e: int) -> QuadInt:
     """x**e by binary powering.  e must be >= 0."""
     if e < 0:

@@ -95,6 +95,16 @@ class TestSearch:
         assert _strip_ms(one.stdout) == _strip_ms(two.stdout)
 
 
+@pytest.mark.parametrize("args", [("search", "2", "30"), ("certify", "17")])
+def test_out_into_missing_directory_is_io_error(tmp_path, args):
+    out = tmp_path / "missing" / "out.txt"
+    res = run_cli(*args, "--out", str(out))
+    assert res.returncode == 3
+    assert "error: cannot write" in res.stderr
+    assert res.stdout == ""
+    assert not out.parent.exists()
+
+
 def _strip_ms(text: str) -> list[str]:
     return [",".join(line.split(",")[:3]) for line in text.splitlines()]
 

@@ -4,8 +4,11 @@ import dataclasses
 
 import pytest
 
+from cm7prime import prover
+from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import forced_composite, jk_closed
-from cm7prime.mont_curve import ModulusCtx, double_chain, montgomerize, sqrt_minus7
+from cm7prime.mont_curve import (ModulusCtx, XZPoint, double_chain, montgomerize,
+                                 sqrt_minus7)
 from cm7prime.prover import (MODE_SIMPLE, MODE_STRONG, Verdict, VerdictKind,
                              bench_run, run_pipeline, search)
 from cm7prime.prover import test_jk as prove_jk
@@ -105,6 +108,36 @@ class TestRunStats:
         m, s, a, g = result.ctx.op_counts()
         assert (result.stats.multiplications, result.stats.squarings,
                 result.stats.additions, result.stats.gcd_calls) == (m, s, a, g)
+
+    @pytest.mark.parametrize("k, run_counts, verify_counts", [
+        (17, (68, 53, 76, 4), (39, 24, 45, 4)),
+        (18, (70, 56, 80, 4), (42, 26, 49, 4)),
+    ])
+    def test_whole_run_counts_are_pinned(self, k, run_counts, verify_counts):
+        # (mults, squarings, additions, gcd_calls) of the whole run and of
+        # verifying its certificate; any extra counted op anywhere shows
+        counts = lambda st: (st.multiplications, st.squarings, st.additions,
+                             st.gcd_calls)
+        _, stats = prove_jk(k)
+        assert counts(stats) == run_counts
+        ok, vstats = verify_certificate(build_certificate(k))
+        assert ok
+        assert counts(vstats) == verify_counts
+
+    @pytest.mark.parametrize("mode", [MODE_STRONG, MODE_SIMPLE])
+    def test_zero_before_last_iterate_is_early_exit(self, monkeypatch, mode):
+        # the 2-torsion start [0 : 1] doubles to z_1 = 0 on the real curve
+        real = prover.montgomerize
+
+        def two_torsion_start(*args):
+            curve, _ = real(*args)
+            return curve, XZPoint(0, 1)
+
+        monkeypatch.setattr(prover, "montgomerize", two_torsion_start)
+        verdict, stats = prove_jk(17, mode)
+        assert verdict.label() == "Composite:CurveTest"
+        assert stats.step_reached == 7
+        assert stats.early_exit is True
 
     def test_forced_composite_does_no_arithmetic(self):
         _, stats = prove_jk(8)
