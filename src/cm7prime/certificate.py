@@ -75,10 +75,10 @@ def minimal_doubling_exponent(n: int) -> int:
     return r
 
 
-def _on_curve_projective(x: int, y: int, z: int, a_coef: int, b_coef: int,
+def _on_curve_projective(x: int, y: int, z: int, b_coef: int, c_coef: int,
                          ctx: ModulusCtx) -> bool:
     lhs = ctx.mul(ctx.mul(b_coef, ctx.sqr(y)), z)
-    return lhs == projective_rhs(x, z, a_coef, ctx)
+    return lhs == projective_rhs(x, z, c_coef, ctx)
 
 
 def build_certificate(k: int) -> Certificate | Verdict:
@@ -95,18 +95,17 @@ def build_certificate(k: int) -> Certificate | Verdict:
         return res.verdict
     ctx, curve, q = res.ctx, res.curve, res.kept
     assert ctx is not None and curve is not None and q is not None
-    a_coef = ctx.sub(ctx.mul(4 % n, curve.C), 2 % n)  # A = 4C - 2
     if s == 0:
         # Q is the transformed start point (B(x0 - r), B y0)
         y = ctx.mul(curve.B, res.twist.point[1] % n)
     else:
-        y_sq = ctx.mul(projective_rhs(q.x, q.z, a_coef, ctx),
+        y_sq = ctx.mul(projective_rhs(q.x, q.z, curve.C, ctx),
                        ctx.inv(ctx.mul(curve.B, q.z)))
         y = ctx.pow_mod(y_sq, (n + 1) // 4)
         if ctx.sqr(y) != y_sq:
             # impossible once the prover said Prime
             raise ArithmeticError(f"y recovery failed at k={k}")
-    if not _on_curve_projective(q.x, y, q.z, a_coef, curve.B, ctx):
+    if not _on_curve_projective(q.x, y, q.z, curve.B, curve.C, ctx):
         raise ArithmeticError(f"certificate point off the curve at k={k}")
     return Certificate(k, n, res.twist.a, curve.d, r, (q.x, y, q.z))
 
@@ -156,9 +155,8 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
         b_coef, c_coef = montgomery_constants(c.a, c.d, ctx)
     except NonInvertibleError:
         return fail("gcd", ctx)
-    a_coef = ctx.sub(ctx.mul(4 % n, c_coef), 2 % n)
     x, y, z = c.q
-    if not _on_curve_projective(x, y, z, a_coef, b_coef, ctx):
+    if not _on_curve_projective(x, y, z, b_coef, c_coef, ctx):
         return fail("curve-equation", ctx)
     curve = MontCurveCtx(c.d, 0, b_coef, c_coef)  # r_shift unused here
     final, penultimate, _ = double_chain(XZPoint(x, z), curve, ctx, c.r)

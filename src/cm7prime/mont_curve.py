@@ -237,8 +237,12 @@ def montgomery_constants(a: int, d: int, ctx: ModulusCtx) -> tuple[int, int]:
     return b_coef, c_coef
 
 
-def projective_rhs(x: int, z: int, a_coef: int, ctx: ModulusCtx) -> int:
-    """x (x^2 + A x z + z^2): the right side of B y^2 z = x^3 + A x^2 z + x z^2."""
+def projective_rhs(x: int, z: int, c_coef: int, ctx: ModulusCtx) -> int:
+    """x (x^2 + A x z + z^2): the right side of B y^2 z = x^3 + A x^2 z + x z^2.
+
+    A = 4C - 2 is derived here, the one place it is needed.
+    """
+    a_coef = ctx.sub(ctx.mul(4 % ctx.N, c_coef), 2 % ctx.N)
     inner = ctx.add(ctx.add(ctx.sqr(x), ctx.mul(a_coef, ctx.mul(x, z))),
                     ctx.sqr(z))
     return ctx.mul(x, inner)

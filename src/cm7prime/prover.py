@@ -23,6 +23,7 @@ the whole run at most 6.5k multiplications-plus-squarings for large k).
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -177,7 +178,7 @@ def search(k_min: int, k_max: int, sieve_limit: int, workers: int = 1,
 
     sieve_limit < 3 disables sieving (every k is tested).  Results are
     identical for any worker count; workers > 1 spreads candidates over
-    processes.
+    at most min(workers, candidates, os.cpu_count()) processes.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -189,7 +190,8 @@ def search(k_min: int, k_max: int, sieve_limit: int, workers: int = 1,
         report = sieve_range(k_max, sieve_limit)
         ks = [k for k in survivors(report) if k >= k_min]
     jobs = [(k, mode) for k in ks]
-    if workers == 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_search_worker(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_search_worker, jobs, chunksize=8))

@@ -1,12 +1,13 @@
 """Eliminate k in [1, n] whose J_k has a small prime factor.
 
 For each odd prime ell <= L (2 and 7 never divide J_k), stream
-J_k mod ell with the four-term recurrence and mark k eliminated when
-the residue vanishes, guarded by J_k > ell so that an index whose J_k
-IS the small prime survives.  Indices with J_k <= L are reported
+J_k mod ell with the four-term recurrence.  The engines mark and count
+every zero; sieve_range alone applies the guard J_k > ell, discounting
+the zero at J_k = ell (ell | J_k <= ell forces it), so a prime J_k is
+never sieved out by itself.  Indices with J_k <= L are reported
 separately so a caller can test them directly.
 
-Three engines produce bit-identical reports:
+Three engines find bit-identical zeros and counts:
 
   * "python": the literal jk_mod_stream per prime (reference),
   * "period": replicates the zero pattern once the residue sequence's
@@ -65,24 +66,23 @@ def iter_primes(limit: int) -> Iterator[int]:
         lo = hi + 1
 
 
-def _small_j(n: int, limit: int) -> tuple[dict[int, int], int]:
-    """({k: J_k for J_k <= limit}, largest such k or 0).  J_k is increasing."""
+def _small_j(n: int, limit: int) -> dict[int, int]:
+    """{k: J_k for J_k <= limit}, in k order.  J_k is non-decreasing."""
     small: dict[int, int] = {}
     for jv in jk_stream(n):
         if jv.value > limit:
-            return small, jv.k - 1
+            break
         small[jv.k] = jv.value
-    return small, n
+    return small
 
 
-def _engine_python(n: int, primes: list[int], small: dict[int, int],
-                   kcap: int) -> tuple[bytearray, dict[int, int]]:
+def _engine_python(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:
     elim = bytearray(n + 1)
     per_prime: dict[int, int] = {}
     for ell in primes:
         hits = 0
         for k, residue in enumerate(jk_mod_stream(ell, n), start=1):
-            if residue == 0 and (k > kcap or small[k] > ell):
+            if residue == 0:
                 hits += 1
                 elim[k] = 1
         if hits:
@@ -90,12 +90,12 @@ def _engine_python(n: int, primes: list[int], small: dict[int, int],
     return elim, per_prime
 
 
-def _engine_period(n: int, primes: list[int], small: dict[int, int],
-                   kcap: int) -> tuple[bytearray, dict[int, int]]:
+def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:
     """Direct stream until the initial 4-window recurs, then replicate.
 
     If no period shows up within [1, n] the stream already covered the
-    whole range, so the fallthrough is just the direct engine's answer.
+    whole range, and period = n places each zero once.  Every zero
+    counts, J_k = ell included; sieve_range discounts those.
     """
     elim = bytearray(n + 1)
     per_prime: dict[int, int] = {}
@@ -103,7 +103,7 @@ def _engine_period(n: int, primes: list[int], small: dict[int, int],
         initial = tuple(s % ell for s in SEEDS)
         window: list[int] = []
         zeros: list[int] = []
-        period = None
+        period = n
         for k, residue in enumerate(jk_mod_stream(ell, n), start=1):
             if residue == 0:
                 zeros.append(k)
@@ -114,24 +114,16 @@ def _engine_period(n: int, primes: list[int], small: dict[int, int],
                 period = k - 4  # window after J_{m+4} equals (J_1..J_4)
                 break
         hits = 0
-        if period is None:
-            for k in zeros:
-                if k > kcap or small[k] > ell:
-                    hits += 1
-                    elim[k] = 1
-        else:
-            for z in (z for z in zeros if z <= period):
-                for k in range(z, n + 1, period):
-                    if k > kcap or small[k] > ell:
-                        hits += 1
-                        elim[k] = 1
+        for z in (z for z in zeros if z <= period):
+            count = len(range(z, n + 1, period))
+            elim[z::period] = b"\x01" * count
+            hits += count
         if hits:
             per_prime[ell] = hits
     return elim, per_prime
 
 
-def _engine_numpy(n: int, primes: list[int], small: dict[int, int],
-                  kcap: int) -> tuple[bytearray, dict[int, int]]:
+def _engine_numpy(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:
     import numpy as np
 
     elim = bytearray(n + 1)
@@ -141,7 +133,7 @@ def _engine_numpy(n: int, primes: list[int], small: dict[int, int],
     counts = np.zeros(len(P), dtype=np.int64)
     w = [np.full_like(P, s) % P for s in SEEDS]
     for k in range(1, min(4, n) + 1):
-        hit = (w[k - 1] == 0) & (P < SEEDS[k - 1])
+        hit = w[k - 1] == 0
         if hit.any():
             elim[k] = 1
             counts += hit
@@ -149,8 +141,6 @@ def _engine_numpy(n: int, primes: list[int], small: dict[int, int],
         nxt = (4 * w[3] - 7 * w[2] + 8 * w[1] - 4 * w[0]) % P
         w = [w[1], w[2], w[3], nxt]
         hit = nxt == 0
-        if k <= kcap:
-            hit &= P < small[k]
         if hit.any():
             elim[k] = 1
             counts += hit
@@ -185,12 +175,18 @@ def sieve_range(n: int, L: int, engine: str = "auto") -> SieveReport:
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     primes = [p for p in iter_primes(L) if p not in (2, 7)]
-    small, kcap = _small_j(n, L)
-    elim, per_prime = _ENGINES[engine](n, primes, small, kcap)
-    mask = bytearray(n + 1)
-    for k in range(1, n + 1):
-        mask[k] = 0 if elim[k] else 1
-    return SieveReport(n, L, bytes(mask), per_prime, tuple(sorted(small)))
+    small = _small_j(n, L)
+    elim, per_prime = _ENGINES[engine](n, primes)
+    # the guard J_k > ell: J_k is in per_prime exactly when it is itself a
+    # sieving prime, and its zero at k is then J_k, not a proper factor
+    for k, jk in small.items():
+        if jk in per_prime:
+            elim[k] = 0
+            per_prime[jk] -= 1
+            if not per_prime[jk]:
+                del per_prime[jk]
+    mask = bytes(1) + elim[1:].translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    return SieveReport(n, L, mask, per_prime, tuple(small))
 
 
 def survivors(report: SieveReport) -> list[int]:

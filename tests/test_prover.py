@@ -22,6 +22,12 @@ def _oracle_is_prime(n: int) -> bool:
     return trial_division(n, 10**6) is None and probable_prime(n)
 
 
+def _strip(rows):
+    """The worker-independent part of search rows (timings dropped)."""
+    return [(k, v.kind, v.witness, s.mults_plus_squarings, s.additions,
+             s.step_reached) for k, v, s in rows]
+
+
 class TestVerdicts:
     def test_k2_prime(self):
         verdict, _ = prove_jk(2)
@@ -210,10 +216,43 @@ class TestSearch:
     def test_workers_do_not_change_results(self):
         serial = search(2, 80, 1000, workers=1)
         parallel = search(2, 80, 1000, workers=2)
-        strip = lambda rows: [(k, v.kind, v.witness, s.mults_plus_squarings,
-                               s.additions, s.step_reached)
-                              for k, v, s in rows]
-        assert strip(serial) == strip(parallel)
+        assert _strip(serial) == _strip(parallel)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool by a serial map recording max_workers."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(prover, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(prover.os, "cpu_count", lambda: 4)
+        return sizes
+
+    def test_workers_are_bounded_by_cpu_count(self, pool_sizes):
+        rows = search(2, 80, 1000, workers=10**6)
+        assert pool_sizes == [4]
+        assert _strip(rows) == _strip(search(2, 80, 1000, workers=1))
+
+    def test_workers_are_bounded_by_candidates(self, pool_sizes):
+        rows = search(2, 4, 2, workers=10)  # no sieving: k = 2, 3, 4
+        assert pool_sizes == [3]
+        assert _strip(rows) == _strip(search(2, 4, 2, workers=1))
+
+    def test_one_candidate_runs_inline(self, pool_sizes):
+        search(5, 5, 2, workers=10)
+        assert pool_sizes == []
 
     def test_results_sorted_by_k(self):
         ks = [k for k, _, _ in search(2, 200, 10**4)]

@@ -110,12 +110,25 @@ class TestSoundness:
 
 class TestEngines:
     @pytest.mark.parametrize("n,limit", [(50, 3), (120, 50), (400, 500),
-                                         (1000, 37)])
+                                         (1000, 37), (4, 10**3), (12, 10**4),
+                                         (50, 11)])
     def test_reports_are_identical(self, n, limit):
         py = sieve_range(n, limit, engine="python")
         pe = sieve_range(n, limit, engine="period")
         np_ = sieve_range(n, limit, engine="numpy")
         assert py == pe == np_
+
+    def test_guard_spares_each_prime_j_from_itself(self):
+        # J_1..J_12 = 11, 11, 23, 67, 151, 275, 487, 963, 2039, 4211, 8327,
+        # 16291: 23 and 67 hit only their own index, 11 hits k = 1 and 2,
+        # and the composites 275 = 5^2 * 11 and 963 = 3^2 * 107 stay hit
+        report = sieve_range(4, 10**3)
+        assert survivors(report) == [1, 2, 3, 4]
+        assert report.per_prime == {}
+        report = sieve_range(12, 10**4)
+        assert survivors(report) == [1, 2, 3, 4, 5, 7, 9, 10]
+        assert report.per_prime == {3: 1, 5: 1, 11: 3, 107: 1, 757: 1, 1481: 1}
+        assert report.small_j_list == tuple(range(1, 12))
 
     def test_auto_resolves(self):
         assert sieve_range(50, 30) == sieve_range(50, 30, engine="python")
