@@ -18,6 +18,7 @@ as y = (y^2)^((N+1)/4), which works because N = 3 (mod 4).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .jk_sequence import jk_closed
@@ -29,6 +30,11 @@ from .twist_tables import TWISTS
 
 _VERSION_LINE = "JKCERT 1"
 _FIELDS = ("k", "N", "a", "d", "r", "x", "y", "z")
+_CANONICAL = re.compile(r"0|-?[1-9][0-9]*")  # no +, leading zeros or -0; ASCII
+# digits per int<->str step: CPython refuses conversions longer than
+# sys.get_int_max_str_digits() (4300 by default, never below 640)
+_CHUNK = 600
+_BASE = 10 ** _CHUNK
 
 
 class CertificateFormatError(ValueError):
@@ -167,15 +173,63 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
     return True, VerifyStats.from_ctx(ctx, None)
 
 
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 0, exactly, without converting n to decimal."""
+    d = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
+    while d > 1 and n < 10 ** (d - 1):
+        d -= 1
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
+def _to_decimal(n: int) -> str:
+    """str(n), converted _CHUNK digits at a time (n below _BASE is direct)."""
+    parts = []
+    while n >= _BASE:
+        n, low = divmod(n, _BASE)
+        parts.append(f"{low:0{_CHUNK}d}")
+    parts.append(str(n))
+    return "".join(reversed(parts))
+
+
+def _decimal(name: str, text: str, max_bits: int | None = None) -> int:
+    """The value of a canonical decimal field; anything else raises.
+
+    Without max_bits the interpreter's int<->str limit bounds the work.
+    With it, a field longer than any max_bits-bit number is refused before
+    it is converted, in chunks, so the work is bounded by max_bits.
+    """
+    canonical = _CANONICAL.fullmatch(text)
+    if canonical and max_bits is not None:
+        digits = text.lstrip("-")
+        e = len(digits) - 1  # the value is at least 10^e
+        if e >= max_bits or (10 ** e).bit_length() > max_bits:
+            raise CertificateFormatError(f"{name} has more digits than "
+                                         f"{max_bits} bits allow")
+        value = 0
+        for i in range(0, len(digits), _CHUNK):
+            piece = digits[i:i + _CHUNK]
+            value = value * 10 ** len(piece) + int(piece)
+        return -value if text[0] == "-" else value
+    try:
+        value = int(text)
+    except ValueError:
+        raise CertificateFormatError(f"non-decimal value for {name}") from None
+    if not canonical:  # int() also takes +, leading zeros, -0, unicode digits
+        raise CertificateFormatError(f"non-canonical decimal for {name}")
+    return value
+
+
 def serialize(c: Certificate) -> str:
     """The bit-exact text form: LF endings, no padding, trailing newline."""
-    return (f"{_VERSION_LINE}\n"
-            f"k={c.k}\nN={c.n}\na={c.a}\nd={c.d}\nr={c.r}\n"
-            f"x={c.q[0]}\ny={c.q[1]}\nz={c.q[2]}\n")
+    values = (c.k, c.n, c.a, c.d, c.r, *c.q)
+    return _VERSION_LINE + "\n" + "".join(
+        f"{name}={_to_decimal(v)}\n" for name, v in zip(_FIELDS, values))
 
 
 def parse(text: str) -> Certificate:
-    """Inverse of serialize; anything non-canonical raises."""
+    """Inverse of serialize; anything non-canonical or too long raises."""
     if not text:
         raise CertificateFormatError("empty input")
     if "\r" in text:
@@ -193,14 +247,8 @@ def parse(text: str) -> Certificate:
         prefix = name + "="
         if not line.startswith(prefix):
             raise CertificateFormatError(f"expected {prefix}..., got {line!r}")
-        digits = line[len(prefix):]
-        try:
-            value = int(digits)
-        except ValueError:
-            raise CertificateFormatError(f"non-decimal value for {name}") from None
-        if str(value) != digits:  # forbids +, leading zeros, -0, unicode digits
-            raise CertificateFormatError(f"non-canonical decimal for {name}")
-        values[name] = value
+        max_bits = None if name in ("k", "a", "r") else values["k"] + 3
+        values[name] = _decimal(name, line[len(prefix):], max_bits)
     if values["a"] not in TWISTS:
         raise CertificateFormatError(f"a={values['a']} is not a known twist")
     if values["k"] < 1 or values["N"] < 1 or values["r"] < 1:

@@ -40,7 +40,7 @@ def _emit(text: str, out: str | None) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     verdict, stats = prover.test_jk(args.k, args.mode)
-    digits = len(str(jk_sequence.jk_closed(args.k).value))
+    digits = cert_mod.decimal_digits(jk_sequence.jk_closed(args.k).value)
     ms = stats.elapsed * 1000.0
     if args.json:
         print(json.dumps({"k": args.k, "verdict": verdict.label(),
@@ -75,13 +75,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+            cert = cert_mod.parse(fh.read())
     except OSError as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
         return 3
-    try:
-        cert = cert_mod.parse(text)
-    except cert_mod.CertificateFormatError as e:
+    except (UnicodeDecodeError, cert_mod.CertificateFormatError) as e:
         print(f"error: malformed certificate: {e}", file=sys.stderr)
         return 3
     ok, stats = cert_mod.verify_certificate(cert)

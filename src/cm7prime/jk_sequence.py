@@ -10,8 +10,8 @@ J_k satisfies the linear recurrence
     J_{k+4} = 4*J_{k+3} - 7*J_{k+2} + 8*J_{k+1} - 4*J_k
 
 with seeds J_1..J_4 = 11, 11, 23, 67 (characteristic polynomial
-(x - 1)(x - 2)(x^2 - x + 2)).  The recurrence is what makes streaming
-J_k mod ell cheap, which drives both the sieve and the period finder.
+(x - 1)(x - 2)(x^2 - x + 2)).  _recurrence is its one implementation: the
+streams, the period finder and every sieve engine take J_k mod ell from it.
 """
 
 from __future__ import annotations
@@ -48,18 +48,28 @@ def jk_closed(k: int) -> JkValue:
     return JkValue(k, 1 + 2 * trace(k) + (1 << (k + 2)))
 
 
+def _recurrence(k_max: int, m=None) -> Iterator:
+    """Yield J_1, ..., J_{k_max}, reduced mod m when m is given.
+
+    m may be an int or an array of moduli (the numpy sieve's int64 array).
+    """
+    c3, c2, c1, c0 = RECURRENCE
+    a, b, c, d = SEEDS if m is None else (s % m for s in SEEDS)
+    yield from (a, b, c, d)[:k_max]  # no name keeps the seeds alive
+    for _ in range(k_max - 4):
+        nxt = c3 * d + c2 * c + c1 * b + c0 * a
+        if m is not None:
+            nxt %= m
+        a, b, c, d = b, c, d, nxt
+        yield nxt
+
+
 def jk_stream(k_max: int) -> Iterator[JkValue]:
     """Yield JkValue(1), ..., JkValue(k_max) via the four-term recurrence."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    window = list(SEEDS)
-    for k in range(1, k_max + 1):
-        if k <= 4:
-            yield JkValue(k, window[k - 1])
-            continue
-        nxt = 4 * window[3] - 7 * window[2] + 8 * window[1] - 4 * window[0]
-        window = [window[1], window[2], window[3], nxt]
-        yield JkValue(k, nxt)
+    for k, value in enumerate(_recurrence(k_max), start=1):
+        yield JkValue(k, value)
 
 
 def jk_mod_stream(ell: int, k_max: int) -> Iterator[int]:
@@ -72,14 +82,27 @@ def jk_mod_stream(ell: int, k_max: int) -> Iterator[int]:
         raise ValueError("ell must be odd and >= 3")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    window = [s % ell for s in SEEDS]
-    for k in range(1, k_max + 1):
-        if k <= 4:
-            yield window[k - 1]
-            continue
-        nxt = (4 * window[3] - 7 * window[2] + 8 * window[1] - 4 * window[0]) % ell
-        window = [window[1], window[2], window[3], nxt]
-        yield nxt
+    yield from _recurrence(k_max, ell)
+
+
+def _first_return(p: int, k_max: int) -> tuple[int | None, list[int]]:
+    """(period, zeros) of J_k mod p from streaming k = 1..k_max at most.
+
+    period is the least m whose window J_{m+1..m+4} equals J_{1..4} mod p
+    with m + 4 <= k_max, else None; zeros are the k <= period (<= k_max
+    when None) with p | J_k.
+    """
+    s1, s2, s3, s4 = (s % p for s in SEEDS)
+    w1 = w2 = w3 = None  # the three residues before the current one
+    zeros: list[int] = []
+    for k, residue in enumerate(_recurrence(k_max, p), start=1):
+        if residue == 0:
+            zeros.append(k)
+        if residue == s4 and w3 == s3 and w2 == s2 and w1 == s1 and k > 4:
+            period = k - 4
+            return period, [z for z in zeros if z <= period]
+        w1, w2, w3 = w2, w3, residue
+    return None, zeros
 
 
 def period_mod(p: int) -> int:
@@ -88,21 +111,16 @@ def period_mod(p: int) -> int:
     The sequence mod p is purely periodic: the 4x4 window matrix of
     consecutive values has determinant -2^12 * 7, a unit mod p for every
     p other than 2 and 7, and for p = 7 the states still recur (period 3).
-    Detection is by first recurrence of the initial 4-value window, with
-    a hard cap slightly above p^4 as a defensive bound (the true period
-    divides p^2 - 1 whenever p is an odd prime not 7).
+    The cap slightly above p^4 is defensive: the true period divides
+    p^2 - 1 whenever p is an odd prime not 7.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
-    initial = tuple(s % p for s in SEEDS)
-    window = list(initial)
     cap = p * p * p * p + 8
-    for m in range(1, cap):
-        nxt = (4 * window[3] - 7 * window[2] + 8 * window[1] - 4 * window[0]) % p
-        window = [window[1], window[2], window[3], nxt]
-        if tuple(window) == initial:
-            return m
-    raise RuntimeError(f"no period found mod {p} within {cap} steps")
+    period, _ = _first_return(p, cap)
+    if period is None:
+        raise RuntimeError(f"no period found mod {p} within {cap} steps")
+    return period
 
 
 def forced_composite(k: int) -> bool:

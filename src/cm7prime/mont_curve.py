@@ -97,18 +97,13 @@ class ModulusCtx:
         return math.gcd(a, self.N)
 
     def inv(self, a: int) -> int:
-        """Inverse by extended gcd; raises NonInvertibleError(gcd) if none."""
+        """Inverse mod N; raises NonInvertibleError(gcd(a, N)) if none."""
         self.inversions += 1
         a %= self.N
-        old_r, r = a, self.N
-        old_s, s = 1, 0
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-        if old_r != 1:
-            raise NonInvertibleError(old_r if old_r else self.N)
-        return old_s % self.N
+        try:
+            return pow(a, -1, self.N)
+        except ValueError:
+            raise NonInvertibleError(math.gcd(a, self.N)) from None
 
     def pow_mod(self, base: int, exponent: int) -> int:
         """base**exponent mod N by left-to-right sliding windows.

@@ -187,8 +187,8 @@ def search(k_min: int, k_max: int, sieve_limit: int, workers: int = 1,
     if sieve_limit < 3:
         ks = list(range(k_min, k_max + 1))
     else:
-        report = sieve_range(k_max, sieve_limit)
-        ks = [k for k in survivors(report) if k >= k_min]
+        report = sieve_range(max(k_max, 4), sieve_limit)  # sieve needs n >= 4
+        ks = [k for k in survivors(report) if k_min <= k <= k_max]
     jobs = [(k, mode) for k in ks]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:

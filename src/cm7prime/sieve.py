@@ -1,7 +1,7 @@
 """Eliminate k in [1, n] whose J_k has a small prime factor.
 
 For each odd prime ell <= L (2 and 7 never divide J_k), stream
-J_k mod ell with the four-term recurrence.  The engines mark and count
+J_k mod ell from jk_sequence's recurrence.  The engines mark and count
 every zero; sieve_range alone applies the guard J_k > ell, discounting
 the zero at J_k = ell (ell | J_k <= ell forces it), so a prime J_k is
 never sieved out by itself.  Indices with J_k <= L are reported
@@ -12,7 +12,7 @@ Three engines find bit-identical zeros and counts:
   * "python": the literal jk_mod_stream per prime (reference),
   * "period": replicates the zero pattern once the residue sequence's
     period is detected (it divides ell^2 - 1 for primes other than 7),
-  * "numpy": one vectorized recurrence step across all primes at once.
+  * "numpy": the same stream with an array of all primes as the modulus.
 
 "auto" picks numpy when installed, else python.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
-from .jk_sequence import SEEDS, jk_mod_stream, jk_stream
+from .jk_sequence import _first_return, _recurrence, jk_mod_stream, jk_stream
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,13 @@ def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
     elim = bytearray(n + 1)
     per_prime: dict[int, int] = {}
     for ell in primes:
-        initial = tuple(s % ell for s in SEEDS)
-        window: list[int] = []
-        zeros: list[int] = []
-        period = n
-        for k, residue in enumerate(jk_mod_stream(ell, n), start=1):
-            if residue == 0:
-                zeros.append(k)
-            window.append(residue)
-            if len(window) > 4:
-                window.pop(0)
-            if k >= 5 and tuple(window) == initial:
-                period = k - 4  # window after J_{m+4} equals (J_1..J_4)
-                break
-        hits = 0
-        for z in (z for z in zeros if z <= period):
-            count = len(range(z, n + 1, period))
+        period, zeros = _first_return(ell, n)
+        period = period or n
+        hits = [len(range(z, n + 1, period)) for z in zeros]
+        for z, count in zip(zeros, hits):
             elim[z::period] = b"\x01" * count
-            hits += count
         if hits:
-            per_prime[ell] = hits
+            per_prime[ell] = sum(hits)
     return elim, per_prime
 
 
@@ -131,16 +118,8 @@ def _engine_numpy(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]
         return elim, {}
     P = np.array(primes, dtype=np.int64)
     counts = np.zeros(len(P), dtype=np.int64)
-    w = [np.full_like(P, s) % P for s in SEEDS]
-    for k in range(1, min(4, n) + 1):
-        hit = w[k - 1] == 0
-        if hit.any():
-            elim[k] = 1
-            counts += hit
-    for k in range(5, n + 1):
-        nxt = (4 * w[3] - 7 * w[2] + 8 * w[1] - 4 * w[0]) % P
-        w = [w[1], w[2], w[3], nxt]
-        hit = nxt == 0
+    for k, residues in enumerate(_recurrence(n, P), start=1):
+        hit = residues == 0
         if hit.any():
             elim[k] = 1
             counts += hit

@@ -1,13 +1,16 @@
 """Certificates: construction, bounds, text format, and the verifier."""
 
+import contextlib
 import dataclasses
 import random
+import sys
 from decimal import Decimal, getcontext
 
 import pytest
 
 from cm7prime.certificate import (Certificate, CertificateFormatError,
-                                  build_certificate, exceeds_quarter_bound,
+                                  build_certificate, decimal_digits,
+                                  exceeds_quarter_bound,
                                   minimal_doubling_exponent, parse, serialize,
                                   verify_certificate)
 from cm7prime.jk_sequence import jk_closed
@@ -152,6 +155,59 @@ class TestSerialization:
     def test_unicode_digits_rejected(self):
         with pytest.raises(CertificateFormatError):
             parse(K2_TEXT.replace("k=2", "k=٢"))  # ARABIC-INDIC TWO
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift CPython's int<->str digit limit inside the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestPastTheIntStrLimit:
+    """J_k has more than 4300 digits (CPython's default limit) from k = 14283."""
+
+    @staticmethod
+    def _synthetic(k):
+        n = jk_closed(k).value  # need not be prime: no proof is run
+        return Certificate(k, n, -1, n - 7, minimal_doubling_exponent(n),
+                           (n - 1, n // 3, 1))
+
+    @pytest.mark.parametrize("k", [14283, 32769])
+    def test_round_trip(self, k):
+        cert = self._synthetic(k)
+        text = serialize(cert)
+        assert parse(text) == cert
+        with unlimited_int_str():
+            assert text == (f"JKCERT 1\nk={k}\nN={cert.n}\na=-1\nd={cert.d}\n"
+                            f"r={cert.r}\nx={cert.q[0]}\ny={cert.q[1]}\nz=1\n")
+
+    def test_over_long_n_is_rejected(self):
+        text = serialize(self._synthetic(14283))
+        n_line = text.split("\n")[2]
+        most = decimal_digits((1 << (14283 + 3)) - 1)  # any (k+3)-bit N
+        assert parse(text.replace(n_line, "N=" + "9" * most)).n == 10**most - 1
+        with pytest.raises(CertificateFormatError, match="more digits"):
+            parse(text.replace(n_line, "N=1" + "0" * most))
+        with pytest.raises(CertificateFormatError, match="more digits"):
+            parse(K2_TEXT.replace("N=11", "N=" + "1" * 5000))
+
+    def test_digit_count_is_exact(self):
+        with unlimited_int_str():
+            for k in [*range(1, 2001), 14282, 14283]:
+                n = jk_closed(k).value
+                assert decimal_digits(n) == len(str(n)), k
+            for n in (0, 1, 9, 10, 10**50 - 1, 10**50):
+                assert decimal_digits(n) == len(str(n)), n
+        assert decimal_digits(jk_closed(14282).value) == 4300
+        assert decimal_digits(jk_closed(14283).value) == 4301
 
 
 class TestVerify:

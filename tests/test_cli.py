@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cm7prime import cli, prover
 from cm7prime.certificate import build_certificate, serialize
 
 
@@ -56,6 +57,14 @@ class TestTest:
     def test_unknown_mode_rejected_by_parser(self):
         assert run_cli("test", "17", "--mode", "fast").returncode == 2
 
+    def test_digits_past_the_int_str_limit(self, monkeypatch, capsys):
+        """J_14283 has 4301 digits, one over CPython's default str() limit."""
+        result = prover.test_jk(2)
+        monkeypatch.setattr(prover, "test_jk", lambda k, mode: result)
+        assert cli.main(["test", "14283"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("k=14283 ") and " digits=4301 " in out
+
 
 class TestSearch:
     def test_range_to_thirty(self):
@@ -77,6 +86,11 @@ class TestSearch:
         ks = [int(l.split(",")[0]) for l in lines[:-1]]
         assert ks == [k for k in range(2, 31) if k not in (8, 16, 24)]
         assert lines[-1] == "# survivors=26 primes=10"
+
+    def test_range_below_four(self):
+        res = run_cli("search", "2", "3")
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[-1] == "# survivors=2 primes=2"
 
     def test_inverted_range_is_usage_error(self):
         assert run_cli("search", "5", "4").returncode == 2
@@ -147,10 +161,11 @@ class TestCertifyVerify:
 
     def test_garbage_file_is_parse_error(self, tmp_path):
         path = tmp_path / "garbage.txt"
-        path.write_text("hello world\n")
-        res = run_cli("verify", str(path))
-        assert res.returncode == 3
-        assert "malformed certificate" in res.stderr
+        for garbage in (b"hello world\n", b"JKCERT 1\nk=\xff\n"):  # not UTF-8
+            path.write_bytes(garbage)
+            res = run_cli("verify", str(path))
+            assert res.returncode == 3
+            assert "malformed certificate" in res.stderr
 
 
 class TestSelftest:

@@ -56,6 +56,7 @@ class TestStream:
     def test_seeds(self):
         assert SEEDS == (11, 11, 23, 67)
         assert [jv.value for jv in jk_stream(4)] == [11, 11, 23, 67]
+        assert [jv.value for jv in jk_stream(2)] == [11, 11]
 
     def test_fifth_element_from_recurrence(self):
         values = [jv.value for jv in jk_stream(5)]
@@ -93,6 +94,7 @@ class TestModStream:
         zeros = [k for k, residue in enumerate(jk_mod_stream(11, 20), start=1)
                  if residue == 0]
         assert zeros == [1, 2, 6, 11, 12, 16]
+        assert list(jk_mod_stream(11, 3)) == [0, 0, 1]  # shorter than the seeds
         # confirm against exact values: 11 | J_k exactly at these k <= 20
         for k in range(1, 21):
             assert (jk_closed(k).value % 11 == 0) == (k in zeros)

@@ -74,13 +74,18 @@ class TestModulusCtx:
         ctx = ModulusCtx(101)
         for a in range(1, 101):
             assert ctx.mul(ctx.inv(a), a) == 1
+        assert ctx.inv(-3) == 67  # -3 * 67 = -201 = 1 (mod 101)
+        assert ctx.inversions == 101
 
     def test_noninvertible_carries_witness(self):
         ctx = ModulusCtx(15)
-        with pytest.raises(NonInvertibleError) as info:
-            ctx.inv(5)
-        assert info.value.witness == 5
-        assert isinstance(info.value, ArithmeticError)
+        # the witness is gcd(a, N), and N itself for a = 0 (mod N)
+        for a, witness in ((5, 5), (0, 15), (15, 15), (20, 5)):
+            with pytest.raises(NonInvertibleError) as info:
+                ctx.inv(a)
+            assert info.value.witness == witness
+            assert isinstance(info.value, ArithmeticError)
+        assert ctx.inversions == 4
 
     def test_gcd(self):
         ctx = ModulusCtx(15)

@@ -254,6 +254,11 @@ class TestSearch:
         search(5, 5, 2, workers=10)
         assert pool_sizes == []
 
+    def test_range_below_four_is_sieved(self):
+        rows = search(2, 3, 10**4)
+        assert _strip(rows) == _strip(search(2, 3, 0))
+        assert [k for k, v, _ in rows if v.is_prime] == [2, 3]
+
     def test_results_sorted_by_k(self):
         ks = [k for k, _, _ in search(2, 200, 10**4)]
         assert ks == sorted(ks)
