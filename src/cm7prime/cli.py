@@ -148,7 +148,7 @@ def _selftest_twist_tables() -> None:
         choice = twists.select_twist(k)
         assert twists.s_membership(choice.a, k)  # also cross-checks tables
         assert twists.t_membership(choice.a, k)
-    for _, _, _, a, (x0, y0) in twists._ROWS:
+    for _, _, a, (x0, y0) in twists._ROWS:
         assert y0 * y0 == x0 ** 3 - 35 * a * a * x0 - 98 * a ** 3
 
 

@@ -81,10 +81,8 @@ class PipelineResult:
 
     verdict: Verdict
     stats: RunStats
-    n: int
     twist: TwistChoice | None = None
     curve: MontCurveCtx | None = None
-    start: XZPoint | None = None
     kept: XZPoint | None = None
     ctx: ModulusCtx | None = None
 
@@ -96,7 +94,7 @@ def _stats(ctx: ModulusCtx | None, t0: float, step: int, *, early: bool = False,
                              s2, s7, *s7ops)
 
 
-def run_pipeline(k: int, mode: str = MODE_STRONG, jk: int | None = None,
+def run_pipeline(k: int, mode: str = MODE_STRONG,
                  keep_at: int | None = None) -> PipelineResult:
     """All eight steps, exposing the intermediates test_jk hides."""
     if k < 2:
@@ -108,28 +106,25 @@ def run_pipeline(k: int, mode: str = MODE_STRONG, jk: int | None = None,
     if keep_at is not None and not 0 <= keep_at <= k + 1:
         raise ValueError("keep_at out of range")
     t0 = time.perf_counter()
-    n = jk_closed(k).value
-    if jk is not None and jk != n:
-        raise ValueError(f"supplied value is not J_{k}")
-
     if forced_composite(k):  # step 1
         v = Verdict(VerdictKind.FORCED_CONGRUENCE)
-        return PipelineResult(v, _stats(None, t0, 1), n)
+        return PipelineResult(v, _stats(None, t0, 1))
 
+    n = jk_closed(k).value
     ctx = ModulusCtx(n)
     t2 = time.perf_counter()
     d = sqrt_minus7(ctx)  # steps 2-3
     s2 = time.perf_counter() - t2
     if d is None:
         v = Verdict(VerdictKind.NO_SQRT_MINUS7)
-        return PipelineResult(v, _stats(ctx, t0, 3, s2=s2), n, ctx=ctx)
+        return PipelineResult(v, _stats(ctx, t0, 3, s2=s2), ctx=ctx)
 
     twist = select_twist(k)  # step 4
     try:
         curve, start = montgomerize(twist.a, twist.point[0], d, ctx)  # 5-6
     except NonInvertibleError as e:
         v = Verdict(VerdictKind.GCD_WITNESS, witness=e.witness)
-        return PipelineResult(v, _stats(ctx, t0, 5, s2=s2), n, twist, ctx=ctx)
+        return PipelineResult(v, _stats(ctx, t0, 5, s2=s2), twist, ctx=ctx)
 
     before = ctx.op_counts()
     t7 = time.perf_counter()
@@ -141,7 +136,7 @@ def run_pipeline(k: int, mode: str = MODE_STRONG, jk: int | None = None,
     if prev.z == 0:  # zero is absorbing: some iterate <= k was zero
         v = Verdict(VerdictKind.CURVE_TEST)  # order < 2^(k+1): composite
         stats = _stats(ctx, t0, 7, early=True, s2=s2, s7=s7, s7ops=s7ops)
-        return PipelineResult(v, stats, n, twist, curve, start, kept, ctx)
+        return PipelineResult(v, stats, twist, curve, kept, ctx)
 
     # step 8
     if mode == MODE_STRONG:
@@ -151,50 +146,46 @@ def run_pipeline(k: int, mode: str = MODE_STRONG, jk: int | None = None,
     ok = pen_ok and is_zero_mod(cur, ctx)
     v = Verdict(VerdictKind.PRIME if ok else VerdictKind.CURVE_TEST)
     stats = _stats(ctx, t0, 8, s2=s2, s7=s7, s7ops=s7ops)
-    return PipelineResult(v, stats, n, twist, curve, start, kept, ctx)
+    return PipelineResult(v, stats, twist, curve, kept, ctx)
 
 
-def test_jk(k: int, mode: str = MODE_STRONG,
-            jk: int | None = None) -> tuple[Verdict, RunStats]:
-    """Deterministic verdict for J_k.  Prime iff J_k is prime.
+def test_jk(k: int, mode: str = MODE_STRONG) -> tuple[Verdict, RunStats]:
+    """Deterministic verdict for J_k, k >= 2.  Prime iff J_k is prime.
 
-    An externally supplied jk is only accepted when it equals the
-    recomputed J_k; the criterion is about the pair (k, J_k), so a
-    mismatch is a caller bug, not a composite.
+    MODE_SIMPLE (k >= 6 only) makes step 8 check z_k != 0 (mod J_k)
+    instead of gcd(z_k, J_k) = 1.
     """
-    result = run_pipeline(k, mode, jk)
+    result = run_pipeline(k, mode)
     return result.verdict, result.stats
 
 
-def _search_worker(args: tuple[int, str]) -> tuple[int, Verdict, RunStats]:
-    k, mode = args
-    verdict, stats = test_jk(k, mode)
+def _search_worker(k: int) -> tuple[int, Verdict, RunStats]:
+    verdict, stats = test_jk(k)
     return k, verdict, stats
 
 
-def search(k_min: int, k_max: int, sieve_limit: int, workers: int = 1,
-           mode: str = MODE_STRONG) -> list[tuple[int, Verdict, RunStats]]:
-    """Sieve [k_min, k_max], then test every survivor.  Ordered by k.
+def search(k_min: int, k_max: int, sieve_limit: int,
+           workers: int = 1) -> list[tuple[int, Verdict, RunStats]]:
+    """Sieve [k_min, k_max] by the primes <= sieve_limit, then test every
+    survivor in strong mode.  Ordered by k.
 
-    sieve_limit < 3 disables sieving (every k is tested).  Results are
-    identical for any worker count; workers > 1 spreads candidates over
-    at most min(workers, candidates, os.cpu_count()) processes.
+    A sieve_limit below 3 sieves by no prime, so every k is tested.
+    Results are identical for any worker count; workers > 1 spreads
+    candidates over at most min(workers, candidates, os.cpu_count())
+    processes.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if sieve_limit < 3:
-        ks = list(range(k_min, k_max + 1))
-    else:
-        report = sieve_range(max(k_max, 4), sieve_limit)  # sieve needs n >= 4
-        ks = [k for k in survivors(report) if k_min <= k <= k_max]
-    jobs = [(k, mode) for k in ks]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # the sieve needs n >= 4 and L >= 2; no J_k is <= 2
+    report = sieve_range(max(k_max, 4), max(sieve_limit, 2))
+    ks = [k for k in survivors(report) if k_min <= k <= k_max]
+    workers = min(workers, len(ks), os.cpu_count() or 1)
     if workers <= 1:
-        return [_search_worker(j) for j in jobs]
+        return [_search_worker(k) for k in ks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_search_worker, jobs, chunksize=8))
+        return list(pool.map(_search_worker, ks, chunksize=8))
 
 
 def bench_run(k: int) -> tuple[float, float]:
@@ -202,17 +193,17 @@ def bench_run(k: int) -> tuple[float, float]:
 
     Runs the real exponentiation, then a k+1 doubling chain with the
     same operand sizes even when d^2 != -7 (composite J_k would exit at
-    step 3 and leave nothing to time).  No verdict semantics.
+    step 3 and leave nothing to time): the a = -1 curve, built from d or
+    from the stand-in 3.  No verdict semantics.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = jk_closed(k).value
-    ctx = ModulusCtx(n)
+    ctx = ModulusCtx(jk_closed(k).value)
     t = time.perf_counter()
     d = sqrt_minus7(ctx)
     step2 = time.perf_counter() - t
-    curve = MontCurveCtx(d or 0, 0, 1 % n, (d if d is not None else 3) % n)
+    curve, start = montgomerize(-1, 1, d if d is not None else 3, ctx)
     t = time.perf_counter()
-    double_chain(XZPoint(5 % n, 1 % n), curve, ctx, k + 1)
+    double_chain(start, curve, ctx, k + 1)
     step7 = time.perf_counter() - t
     return step2, step7

@@ -33,16 +33,15 @@ TWISTS = (-1, -5, -6, -17, -111)
 class TwistChoice:
     a: int
     point: tuple[int, int]
-    row: int
 
 
-# (row, modulus, residues of k, a, P_a);  rows partition the admissible k.
+# (modulus, residues of k, a, P_a);  rows partition the admissible k.
 _ROWS = (
-    (1, 3, frozenset({0, 2}), -1, (1, 8)),
-    (2, 24, frozenset({4, 7, 13, 22}), -5, (15, 50)),
-    (3, 24, frozenset({10}), -6, (21, 63)),
-    (4, 72, frozenset({1, 19, 49, 67}), -17, (81, 440)),
-    (5, 72, frozenset({25, 43}), -111, (-633, 12384)),
+    (3, frozenset({0, 2}), -1, (1, 8)),
+    (24, frozenset({4, 7, 13, 22}), -5, (15, 50)),
+    (24, frozenset({10}), -6, (21, 63)),
+    (72, frozenset({1, 19, 49, 67}), -17, (81, 440)),
+    (72, frozenset({25, 43}), -111, (-633, 12384)),
 )
 
 
@@ -189,7 +188,7 @@ def select_twist(k: int) -> TwistChoice:
         raise ValueError("k must be >= 2")
     if forced_composite(k):
         raise ValueError(f"k={k} is forced composite; no twist is assigned")
-    for row, modulus, residues, a, point in _ROWS:
+    for modulus, residues, a, point in _ROWS:
         if k % modulus in residues:
-            return TwistChoice(a, point, row)
+            return TwistChoice(a, point)
     raise RuntimeError(f"twist rows failed to cover k={k}")  # unreachable

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import random
 import sys
 from decimal import Decimal, getcontext
@@ -18,6 +19,12 @@ from cm7prime.mont_curve import ModulusCtx, montgomerize, sqrt_minus7
 from cm7prime.prover import VerdictKind
 from cm7prime.refcheck import AffinePoint, weier_scalar_mult
 from cm7prime.twist_tables import select_twist
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate(k: int) -> Certificate:
+    return build_certificate(k)
+
 
 K2_TEXT = "JKCERT 1\nk=2\nN=11\na=-1\nd=2\nr=3\nx=3\ny=6\nz=1\n"
 K3_TEXT = "JKCERT 1\nk=3\nN=23\na=-1\nd=4\nr=4\nx=9\ny=17\nz=1\n"
@@ -250,6 +257,20 @@ class TestVerify:
         ok, stats = verify_certificate(mutate(cert))
         assert not ok
         assert stats.reason == reason
+
+    @pytest.mark.parametrize("k", [17, 2828])
+    @pytest.mark.parametrize("wrong_r", [
+        lambda c: c.r - 1, lambda c: c.r + 1, lambda c: c.k + 2,
+        lambda c: 10**30,
+    ], ids=["r-1", "r+1", "k+2", "10^30"])
+    def test_any_other_r_fails_the_bound_at_once(self, k, wrong_r):
+        # r is compared with the exponent N fixes, never used as a shift
+        # count, so 10^30 costs what r + 1 does: the gcd and d^2 checks
+        cert = _certificate(k)
+        ok, stats = verify_certificate(dataclasses.replace(cert, r=wrong_r(cert)))
+        assert (ok, stats.reason) == (False, "r-bound")
+        assert (stats.multiplications, stats.squarings, stats.additions,
+                stats.gcd_calls) == (0, 1, 0, 1)
 
     def test_low_order_point_rejected(self):
         # [0:0:1] lies on every curve in this family (two-torsion), so it

@@ -154,6 +154,15 @@ class TestCertifyVerify:
         assert res.returncode == 0
         assert res.stdout == "INVALID:curve-equation\n"
 
+    def test_absurd_r_is_invalid_not_a_crash(self, tmp_path):
+        cert = build_certificate(17)
+        path = tmp_path / "big_r.txt"
+        path.write_text(serialize(cert).replace(f"r={cert.r}\n",
+                                                f"r={10**30}\n"))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 0
+        assert res.stdout == "INVALID:r-bound\n"
+
     def test_missing_file_is_io_error(self, tmp_path):
         res = run_cli("verify", str(tmp_path / "nope.txt"))
         assert res.returncode == 3
