@@ -13,7 +13,12 @@ and doubling needs only C = (A + 2) / 4 = (1 - 3d) / 32:
 f = 4xz, so this is the classical Montgomery doubling; it costs exactly
 2 squarings, 3 multiplications and 4 additions, which the ModulusCtx
 counters record.  Every verdict-affecting cost claim in this package is
-an assertion over those counters, so nothing here may bypass them.
+an assertion over those counters, so every operation here is counted.
+xz_double counts each one as it goes.  double_chain, the hot loop, does
+the same arithmetic on local ints and adds count * (2, 3, 4) in one go:
+that is exact because a step's operation sequence is straight-line and
+never depends on the values (z = 0 included), and a test pins its
+points and counter deltas to a loop of xz_double.
 """
 
 from __future__ import annotations
@@ -39,36 +44,47 @@ class ModulusCtx:
 
     Residues are always reduced to [0, N-1]; no lazy reduction. A context
     must not be shared between concurrent workers (counters are plain ints).
+
+    Every J_k is N = 2^e + c with e = k + 2 and |c| < 2^(e/2 + 2).  The
+    constructor looks for that form, taking e = bitlen(N) - 1 or bitlen(N),
+    whichever gives the smaller |c| (J_k has k + 2 or k + 3 bits with the
+    sign of c).  For such N a product is reduced by folding at 2^e, since
+    2^e = -c (mod N); any other N is reduced by plain %, the reference.
     """
 
     __slots__ = ("N", "multiplications", "squarings", "additions", "inversions",
-                 "_mu", "_sh_pre", "_sh_post")
+                 "_fold")
 
     def __init__(self, N: int):
         if N < 3 or N % 2 == 0:
             raise ValueError("modulus must be odd and >= 3")
         self.N = N
-        # Barrett constants: with s = bitlen(N) and mu = floor(4^s / N),
-        # q = ((t >> (s-1)) * mu) >> (s+1) underestimates t // N by at most
-        # 2 for any t < 4^s, so reduction is three multiplications and at
-        # most two subtractions instead of a quadratic-time division.
-        s = N.bit_length()
-        self._mu = (1 << (2 * s)) // N
-        self._sh_pre = s - 1
-        self._sh_post = s + 1
+        e = N.bit_length()
+        if N - (1 << (e - 1)) < (1 << e) - N:
+            e -= 1
+        c = N - (1 << e)
+        # (e, 2^e - 1, c) when |c| < 2^(e/2 + 2), else None
+        self._fold = (e, (1 << e) - 1, c) if c * c < 1 << (e + 4) else None
         self.multiplications = 0
         self.squarings = 0
         self.additions = 0
         self.inversions = 0
 
     def _reduce(self, t: int) -> int:
-        """Barrett reduction of 0 <= t < N^2 to t mod N in [0, N-1]."""
-        r = t - (((t >> self._sh_pre) * self._mu) >> self._sh_post) * self.N
-        if r >= self.N:
-            r -= self.N
-            if r >= self.N:
-                r -= self.N
-        return r
+        """t mod N in [0, N-1] for any int t; fast for 0 <= t < 4N^2.
+
+        Each fold t -> (t mod 2^e) - (t >> e) c keeps t mod N (Python's
+        floor >> and & make that exact for negative t too).  From
+        |t| < 4N^2 two folds leave |t| < 2^(e+9), so the closing % N
+        divides by N with a quotient of a few bits.
+        """
+        fold = self._fold
+        if fold is None:
+            return t % self.N
+        e, mask, c = fold
+        t = (t & mask) - (t >> e) * c
+        t = (t & mask) - (t >> e) * c
+        return t % self.N
 
     def mul(self, a: int, b: int) -> int:
         self.multiplications += 1
@@ -260,20 +276,42 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     certificate extraction.  count must be >= 1.  The chain never stops
     early: z = 0 is absorbing under xz_double, so callers read "some
     iterate before the last is zero" as penultimate.z == 0.
+
+    One loop over local ints does xz_double's arithmetic step for step
+    and adds its 2 squarings, 3 multiplications and 4 additions per step
+    to ctx's counters when the chain ends; xz_double is the reference.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if keep_at is not None and not 0 <= keep_at <= count:
         raise ValueError("keep_at out of range")
+    n = ctx.N
+    red = ctx._reduce
+    c_coef = curve.C % n
+    x, z = P.x % n, P.z % n
     kept = P if keep_at == 0 else None
-    prev = P
-    cur = P
     for i in range(1, count + 1):
-        prev = cur
-        cur = xz_double(cur, curve, ctx)
-        if keep_at == i:
-            kept = cur
-    return cur, prev, kept
+        px, pz = x, z
+        u = x + z
+        if u >= n:
+            u -= n
+        s = red(u * u)
+        u = x - z  # squared at once, so its sign needs no fix
+        t = red(u * u)
+        f = s - t  # 4xz
+        if f < 0:
+            f += n
+        u = t + red(c_coef * f)
+        if u >= n:
+            u -= n
+        x, z = red(s * t), red(f * u)
+        if i == keep_at:
+            kept = XZPoint(x, z)
+    ctx.squarings += 2 * count
+    ctx.multiplications += 3 * count
+    ctx.additions += 4 * count
+    prev = P if count == 1 else XZPoint(px, pz)
+    return XZPoint(x, z), prev, kept
 
 
 def is_strongly_nonzero(P: XZPoint, ctx: ModulusCtx) -> bool:

@@ -214,6 +214,7 @@ def test_criterion_8_group_law_equivalence(capsys):
                     assert is_zero_mod(cur, ctx), k
 
 
+@pytest.mark.slow
 def test_criterion_9_scaling_and_invariants(capsys):
     with criterion(capsys, 9, "scaling-and-invariants"):
         # (a) every module's invariant suite

@@ -7,14 +7,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cm7prime.jk_sequence import forced_composite, jk_closed
-from cm7prime.mont_curve import (ModulusCtx, NonInvertibleError, XZPoint,
-                                 double_chain, is_strongly_nonzero,
+from cm7prime.mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError,
+                                 XZPoint, double_chain, is_strongly_nonzero,
                                  is_zero_mod, montgomerize, sqrt_minus7,
                                  xz_double)
 from cm7prime.refcheck import AffinePoint, weier_scalar_mult
 from cm7prime.twist_tables import jacobi_symbol, select_twist
 
 ODD_MODULUS = st.integers(min_value=1, max_value=2**256).map(lambda h: 2 * h + 1)
+
+
+@st.composite
+def special_form(draw):
+    """(N, e, c) with N = 2^e + c, c odd and |c| < 2^(e/2 + 2).
+
+    N has e + 1 bits when c > 0 and e bits when c < 0, as J_k has k + 3
+    or k + 2 bits with the sign of t_k.
+    """
+    e = draw(st.integers(min_value=8, max_value=1200))
+    c = draw(st.integers(min_value=0, max_value=(1 << (e // 2 + 1)) - 1))
+    c = (2 * c + 1) * draw(st.sampled_from((1, -1)))
+    return (1 << e) + c, e, c
+
+
+def _reference_chain(P, curve, ctx, count):
+    """Every iterate of a loop of xz_double: [P, 2P, ..., 2^count P]."""
+    points = [P]
+    for _ in range(count):
+        points.append(xz_double(points[-1], curve, ctx))
+    return points
+
+
+def _deltas(before, after):
+    return tuple(b - a for a, b in zip(before, after))
 
 
 def _primes_upto(limit):
@@ -51,6 +76,48 @@ class TestModulusCtx:
                          (n // 2, n // 2 + 1), (n - 2, n - 2)]:
                 assert ctx.mul(a, b) == a * b % n
                 assert ctx.sqr(a) == a * a % n
+
+    @given(special_form(), st.integers(min_value=0), st.integers(min_value=0),
+           st.integers())
+    @settings(max_examples=300)
+    def test_special_form_folds_and_matches_builtin(self, form, a, b, t):
+        n, e, c = form
+        ctx = ModulusCtx(n)
+        assert ctx._fold == (e, (1 << e) - 1, c)
+        a, b = a % n, b % n
+        for x, y in ((a, b), (0, b), (1, b), (n - 1, b), (n - 1, n - 1)):
+            assert ctx.mul(x, y) == x * y % n
+            assert ctx.sqr(x) == x * x % n
+        # the fold is exact for any int, negative or large ones included
+        for u in (t, -t, t * n, 4 * n * n - 1, -4 * n * n + 1):
+            assert ctx._reduce(u) == u % n
+
+    @pytest.mark.parametrize("ks", [range(2, 601), (3779, 16385, 32769)],
+                             ids=["2-600", "large"])
+    def test_jk_moduli_fold_at_k_plus_2(self, ks):
+        rng = random.Random(5)
+        for k in ks:
+            n = jk_closed(k).value
+            ctx = ModulusCtx(n)
+            if k >= 4:  # J_2 = 11 = 2^3 + 3 and J_3 = 23 = 2^4 + 7 are tiny
+                assert ctx._fold[0] == k + 2, k
+            pairs = [(0, 0), (0, n - 1), (1, n - 1), (n - 1, 1),
+                     (n - 1, n - 1)]
+            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+            for a, b in pairs:
+                assert ctx.mul(a, b) == a * b % n, k
+                assert ctx.sqr(a) == a * a % n, k
+
+    def test_general_modulus_uses_plain_remainder(self):
+        rng = random.Random(1024)
+        n = rng.getrandbits(1024) | (1 << 1023) | 1
+        ctx = ModulusCtx(n)
+        assert ctx._fold is None
+        pairs = [(0, 0), (1, n - 1), (n - 1, n - 1)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+        for a, b in pairs:
+            assert ctx.mul(a, b) == a * b % n
+            assert ctx.sqr(a) == a * a % n
 
     def test_results_always_canonical(self):
         ctx = ModulusCtx(101)
@@ -266,13 +333,44 @@ class TestDoubleChain:
         assert kept == start
 
     def test_keep_at_matches_separate_run(self):
-        ctx = ModulusCtx(524087)
+        # the fused chain against a loop of xz_double on its own context:
+        # same final, penultimate and kept points, same counter deltas
+        for k in (17, 18, 2828):
+            n = jk_closed(k).value
+            count = k + 1
+            ref_ctx = ModulusCtx(n)
+            tw = select_twist(k)
+            curve, start = montgomerize(tw.a, tw.point[0],
+                                        sqrt_minus7(ref_ctx), ref_ctx)
+            before = ref_ctx.op_counts()
+            points = _reference_chain(start, curve, ref_ctx, count)
+            ref_deltas = _deltas(before, ref_ctx.op_counts())
+            assert ref_deltas == (3 * count, 2 * count, 4 * count, 0)
+            for keep_at in (None, 0, 1, count // 2, count):
+                ctx = ModulusCtx(n)
+                before = ctx.op_counts()
+                got = double_chain(start, curve, ctx, count, keep_at)
+                kept = None if keep_at is None else points[keep_at]
+                assert got == (points[-1], points[-2], kept), (k, keep_at)
+                assert _deltas(before, ctx.op_counts()) == ref_deltas
+
+    @pytest.mark.parametrize("k", [17, 18, 2828])
+    def test_unreduced_and_zero_starts_match_xz_double(self, k):
+        n = jk_closed(k).value
+        ctx = ModulusCtx(n)
         curve, start = montgomerize(-1, 1, sqrt_minus7(ctx), ctx)
-        _, _, kept = double_chain(start, curve, ctx, 18, keep_at=7)
-        ctx2 = ModulusCtx(524087)
-        curve2, start2 = montgomerize(-1, 1, sqrt_minus7(ctx2), ctx2)
-        reference, _, _ = double_chain(start2, curve2, ctx2, 7)
-        assert kept == reference
+        wide = MontCurveCtx(curve.d, curve.r_shift, curve.B, curve.C - 3 * n)
+        for P, crv in ((XZPoint(start.x + 5 * n, -7 * n - 2), wide),
+                       (XZPoint(start.x, 0), curve),
+                       (XZPoint(-start.x, 3 * n), wide)):
+            for count in (1, 2, k + 1):
+                ref_ctx, fused_ctx = ModulusCtx(n), ModulusCtx(n)
+                points = _reference_chain(P, crv, ref_ctx, count)
+                got = double_chain(P, crv, fused_ctx, count, keep_at=0)
+                assert got == (points[-1], points[-2], P)
+                assert fused_ctx.op_counts() == ref_ctx.op_counts()
+                if P.z % n == 0:  # z = 0 is absorbing
+                    assert all(q.z == 0 for q in points[1:])
 
     def test_keep_at_final(self):
         ctx = ModulusCtx(23)
