@@ -17,8 +17,15 @@ from . import twist_tables as twists
 _DEFAULT_BENCH = "1025,2049,4097,8193"  # 2^m + 1 for m = 10..13
 
 
-def _positive_k(value: str) -> int:
-    k = int(value)
+def _decimal(text: str) -> int:
+    """An integer argument, held to the certificate fields' canonical rule."""
+    if not cert_mod._CANONICAL.fullmatch(text):
+        raise ValueError(f"not a canonical decimal: {text!r}")
+    return int(text)
+
+
+def _positive_k(text: str) -> int:
+    k = _decimal(text)
     if k < 2:
         raise argparse.ArgumentTypeError("k must be >= 2")
     return k
@@ -39,7 +46,7 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    verdict, stats = prover.test_jk(args.k, args.mode)
+    verdict, stats = prover.test_jk(args.k)
     digits = cert_mod.decimal_digits(jk_sequence.jk_closed(args.k).value)
     ms = stats.elapsed * 1000.0
     if args.json:
@@ -54,8 +61,6 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.kmin > args.kmax:
-        raise UsageError("kmin must be <= kmax")
     results = prover.search(args.kmin, args.kmax, args.sieve_limit, args.jobs)
     lines = [f"{k},{v.label()},{s.mults_plus_squarings},{s.elapsed * 1000.0:.2f}"
              for k, v, s in results]
@@ -89,11 +94,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        kset = [int(t) for t in args.kset.split(",") if t]
+        kset = [_decimal(t.strip()) for t in args.kset.split(",") if t]
     except ValueError:
-        raise UsageError("--kset must be a comma-separated list of integers")
+        raise ValueError("--kset must be a comma-separated list of "
+                         "integers") from None
     if not kset or any(k < 2 for k in kset):
-        raise UsageError("--kset entries must be >= 2")
+        raise ValueError("--kset entries must be >= 2")
     print(f"{'k':>8}  {'step2_s':>10}  {'step7_s':>10}")
     timings: dict[int, float] = {}
     for k in kset:
@@ -243,10 +249,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-class UsageError(Exception):
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cm7prime",
@@ -256,16 +258,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="test a single J_k")
     p.add_argument("k", type=_positive_k)
-    p.add_argument("--mode", choices=[prover.MODE_STRONG, prover.MODE_SIMPLE],
-                   default=prover.MODE_STRONG)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("search", help="sieve and test a range of k")
     p.add_argument("kmin", type=_positive_k)
     p.add_argument("kmax", type=_positive_k)
-    p.add_argument("--sieve-limit", type=int, default=10000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--sieve-limit", type=_decimal, default=10000)
+    p.add_argument("--jobs", type=_decimal, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 
@@ -294,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        parser.exit(2, f"error: {e}\n")
     except ValueError as e:
         parser.exit(2, f"error: {e}\n")
 

@@ -4,7 +4,10 @@ For k > 1 with k != 0 (mod 8) and k != 6 (mod 24), J_k is prime if and
 only if the twist point P_a (chosen by twist_tables) has order 2^(k+1)
 on E_a mod J_k, which the x-only chain certifies as: the k-th doubling
 iterate is strongly nonzero (gcd(z_k, J_k) = 1) and the (k+1)-st is zero
-(J_k | z_{k+1}).  Steps:
+(J_k | z_{k+1}).  That is the only rule step 8 applies.  It is a gcd, not
+z_k != 0 (mod J_k): for composite J_k a z_k can be nonzero mod J_k and
+still vanish mod one prime factor q, and the order argument needs P_a to
+have order exactly 2^(k+1) mod every prime factor.  Steps:
 
   1. congruence filter (3 | J_k or 5 | J_k),
   2. d = 7^((J_k+1)/4) mod J_k,
@@ -35,9 +38,6 @@ from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
                          is_zero_mod, montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
 from .twist_tables import TwistChoice, select_twist
-
-MODE_STRONG = "strong"  # gcd(z_k, N) = 1, unconditional
-MODE_SIMPLE = "simple"  # z_k != 0 suffices for k >= 6
 
 
 class VerdictKind(Enum):
@@ -94,15 +94,10 @@ def _stats(ctx: ModulusCtx | None, t0: float, step: int, *, early: bool = False,
                              s2, s7, *s7ops)
 
 
-def run_pipeline(k: int, mode: str = MODE_STRONG,
-                 keep_at: int | None = None) -> PipelineResult:
+def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
     """All eight steps, exposing the intermediates test_jk hides."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if mode not in (MODE_STRONG, MODE_SIMPLE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_SIMPLE and k < 6:
-        raise ValueError("simple mode is only valid for k >= 6")
     if keep_at is not None and not 0 <= keep_at <= k + 1:
         raise ValueError("keep_at out of range")
     t0 = time.perf_counter()
@@ -110,8 +105,7 @@ def run_pipeline(k: int, mode: str = MODE_STRONG,
         v = Verdict(VerdictKind.FORCED_CONGRUENCE)
         return PipelineResult(v, _stats(None, t0, 1))
 
-    n = jk_closed(k).value
-    ctx = ModulusCtx(n)
+    ctx = ModulusCtx(jk_closed(k).value)
     t2 = time.perf_counter()
     d = sqrt_minus7(ctx)  # steps 2-3
     s2 = time.perf_counter() - t2
@@ -138,24 +132,21 @@ def run_pipeline(k: int, mode: str = MODE_STRONG,
         stats = _stats(ctx, t0, 7, early=True, s2=s2, s7=s7, s7ops=s7ops)
         return PipelineResult(v, stats, twist, curve, kept, ctx)
 
-    # step 8
-    if mode == MODE_STRONG:
-        pen_ok = is_strongly_nonzero(prev, ctx)
-    else:
-        pen_ok = prev.z % n != 0
-    ok = pen_ok and is_zero_mod(cur, ctx)
+    ok = is_strongly_nonzero(prev, ctx) and is_zero_mod(cur, ctx)  # step 8
     v = Verdict(VerdictKind.PRIME if ok else VerdictKind.CURVE_TEST)
     stats = _stats(ctx, t0, 8, s2=s2, s7=s7, s7ops=s7ops)
     return PipelineResult(v, stats, twist, curve, kept, ctx)
 
 
-def test_jk(k: int, mode: str = MODE_STRONG) -> tuple[Verdict, RunStats]:
+def test_jk(k: int) -> tuple[Verdict, RunStats]:
     """Deterministic verdict for J_k, k >= 2.  Prime iff J_k is prime.
 
-    MODE_SIMPLE (k >= 6 only) makes step 8 check z_k != 0 (mod J_k)
-    instead of gcd(z_k, J_k) = 1.
+    Step 8 says Prime only if gcd(z_k, J_k) = 1 and J_k | z_{k+1}.  The
+    gcd is what makes the order argument hold modulo every prime factor
+    of J_k at once; z_k != 0 (mod J_k) would leave z_k free to vanish
+    modulo one of them.
     """
-    result = run_pipeline(k, mode)
+    result = run_pipeline(k)
     return result.verdict, result.stats
 
 
@@ -167,7 +158,7 @@ def _search_worker(k: int) -> tuple[int, Verdict, RunStats]:
 def search(k_min: int, k_max: int, sieve_limit: int,
            workers: int = 1) -> list[tuple[int, Verdict, RunStats]]:
     """Sieve [k_min, k_max] by the primes <= sieve_limit, then test every
-    survivor in strong mode.  Ordered by k.
+    survivor.  Ordered by k.
 
     A sieve_limit below 3 sieves by no prime, so every k is tested.
     Results are identical for any worker count; workers > 1 spreads

@@ -10,22 +10,22 @@ import cm7prime
 from cm7prime import cli
 
 PUBLIC_NAMES = [
-    "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "MODE_SIMPLE",
-    "MODE_STRONG", "ModulusCtx", "MontCurveCtx", "NonInvertibleError",
-    "QuadInt", "RunStats", "SieveReport", "TwistChoice", "Verdict",
-    "VerdictKind", "VerifyStats", "XZPoint", "bench_run", "build_certificate",
-    "chi_sqrt_minus7", "double_chain", "forced_composite", "is_strongly_nonzero",
-    "is_zero_mod", "iter_primes", "jacobi_symbol", "jk_closed", "jk_element",
-    "jk_mod_stream", "jk_stream", "minimal_doubling_exponent", "montgomerize",
-    "parse", "period_mod", "qi_conj", "qi_mul", "qi_norm", "qi_pow",
-    "run_pipeline", "s_membership", "search", "select_twist", "serialize",
-    "sieve_range", "sqrt_minus7", "survivors", "t_membership", "test_jk",
-    "trace", "verify_certificate", "xz_double",
+    "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
+    "MontCurveCtx", "NonInvertibleError", "QuadInt", "RunStats", "SieveReport",
+    "TwistChoice", "Verdict", "VerdictKind", "VerifyStats", "XZPoint",
+    "bench_run", "build_certificate", "chi_sqrt_minus7", "double_chain",
+    "forced_composite", "is_strongly_nonzero", "is_zero_mod", "iter_primes",
+    "jacobi_symbol", "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
+    "minimal_doubling_exponent", "montgomerize", "parse", "period_mod",
+    "qi_conj", "qi_mul", "qi_norm", "qi_pow", "run_pipeline", "s_membership",
+    "search", "select_twist", "serialize", "sieve_range", "sqrt_minus7",
+    "survivors", "t_membership", "test_jk", "trace", "verify_certificate",
+    "xz_double",
 ]
 
 # subcommand -> its option strings, positionals by name
 CLI_COMMANDS = {
-    "test": {"k", "--mode", "--json", "-h", "--help"},
+    "test": {"k", "--json", "-h", "--help"},
     "search": {"kmin", "kmax", "--sieve-limit", "--jobs", "--out", "-h",
                "--help"},
     "certify": {"k", "--out", "-h", "--help"},

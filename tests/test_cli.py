@@ -49,18 +49,14 @@ class TestTest:
     def test_small_k_is_usage_error(self):
         assert run_cli("test", "1").returncode == 2
 
-    def test_simple_mode_domain(self):
-        assert run_cli("test", "5", "--mode", "simple").returncode == 2
-        res = run_cli("test", "7", "--mode", "simple")
-        assert res.returncode == 0 and "verdict=Prime" in res.stdout
-
     def test_unknown_mode_rejected_by_parser(self):
-        assert run_cli("test", "17", "--mode", "fast").returncode == 2
+        # step 8 has one rule, so test takes no mode option at all
+        assert run_cli("test", "17", "--mode", "strong").returncode == 2
 
     def test_digits_past_the_int_str_limit(self, monkeypatch, capsys):
         """J_14283 has 4301 digits, one over CPython's default str() limit."""
         result = prover.test_jk(2)
-        monkeypatch.setattr(prover, "test_jk", lambda k, mode: result)
+        monkeypatch.setattr(prover, "test_jk", lambda k: result)
         assert cli.main(["test", "14283"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("k=14283 ") and " digits=4301 " in out
@@ -197,6 +193,12 @@ class TestBench:
         assert re.fullmatch(r"ratio step7\(65\)/step7\(33\) = \d+\.\d\d",
                             lines[3])
 
+    def test_kset_entries_may_be_spaced(self):
+        res = run_cli("bench", "--kset", " 33, 65 ")
+        assert res.returncode == 0
+        assert [l.split()[0] for l in res.stdout.splitlines()[1:3]] == \
+            ["33", "65"]
+
     def test_bad_kset_is_usage_error(self):
         assert run_cli("bench", "--kset", "2,bad").returncode == 2
         assert run_cli("bench", "--kset", "").returncode == 2
@@ -204,6 +206,18 @@ class TestBench:
 
 
 class TestParser:
+    @pytest.mark.parametrize("args", [
+        ("test", "1_7"), ("test", "+17"), ("test", "\u0661\u0667"),
+        ("test", "017"), ("certify", "+17"),
+        ("search", "2", "30", "--jobs", "+1"),
+        ("search", "2", "30", "--sieve-limit", "1_000"),
+        ("bench", "--kset", "+33"), ("bench", "--kset", "33,0_65"),
+    ])
+    def test_integers_must_be_canonical_decimals(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+
     def test_no_arguments_is_usage_error(self):
         assert run_cli().returncode == 2
 

@@ -9,8 +9,8 @@ from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import forced_composite, jk_closed
 from cm7prime.mont_curve import (ModulusCtx, XZPoint, double_chain, montgomerize,
                                  sqrt_minus7)
-from cm7prime.prover import (MODE_SIMPLE, MODE_STRONG, Verdict, VerdictKind,
-                             bench_run, run_pipeline, search)
+from cm7prime.prover import (Verdict, VerdictKind, bench_run, run_pipeline,
+                             search)
 from cm7prime.prover import test_jk as prove_jk
 from cm7prime.refcheck import probable_prime, trial_division
 
@@ -62,18 +62,6 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             prove_jk(k)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            prove_jk(17, mode="fast")
-
-    def test_simple_mode_needs_k_at_least_6(self):
-        with pytest.raises(ValueError):
-            prove_jk(5, mode=MODE_SIMPLE)
-        verdict, _ = prove_jk(6, mode=MODE_SIMPLE)
-        assert verdict.kind is VerdictKind.FORCED_CONGRUENCE  # 6 = 6 mod 24
-        verdict, _ = prove_jk(7, mode=MODE_SIMPLE)
-        assert verdict.is_prime
-
     def test_keep_at_range(self):
         with pytest.raises(ValueError):
             run_pipeline(17, keep_at=19)
@@ -86,12 +74,6 @@ class TestOracleEquivalence:
         for k in range(2, 401):
             verdict, _ = prove_jk(k)
             assert verdict.is_prime == _oracle_is_prime(jk_closed(k).value), k
-
-    def test_modes_agree_from_6_to_400(self):
-        for k in range(6, 401):
-            strong, _ = prove_jk(k, MODE_STRONG)
-            simple, _ = prove_jk(k, MODE_SIMPLE)
-            assert strong.kind is simple.kind, k
 
 
 class TestRunStats:
@@ -124,8 +106,7 @@ class TestRunStats:
         assert ok
         assert counts(vstats) == verify_counts
 
-    @pytest.mark.parametrize("mode", [MODE_STRONG, MODE_SIMPLE])
-    def test_zero_before_last_iterate_is_early_exit(self, monkeypatch, mode):
+    def test_zero_before_last_iterate_is_early_exit(self, monkeypatch):
         # the 2-torsion start [0 : 1] doubles to z_1 = 0 on the real curve
         real = prover.montgomerize
 
@@ -134,10 +115,22 @@ class TestRunStats:
             return curve, XZPoint(0, 1)
 
         monkeypatch.setattr(prover, "montgomerize", two_torsion_start)
-        verdict, stats = prove_jk(17, mode)
+        verdict, stats = prove_jk(17)
         assert verdict.label() == "Composite:CurveTest"
         assert stats.step_reached == 7
         assert stats.early_exit is True
+
+    def test_penultimate_sharing_a_factor_is_composite(self, monkeypatch):
+        # J_11 = 8327 = 11 * 757: a penultimate z = 757 is nonzero mod J_11
+        # but zero mod 757, so gcd(z_k, J_k) = 1 fails and step 8 must say
+        # composite; z_k != 0 (mod J_k) alone would have said Prime
+        monkeypatch.setattr(prover, "sqrt_minus7", lambda ctx: 1)
+        monkeypatch.setattr(prover, "double_chain", lambda *args: (
+            XZPoint(1, 0), XZPoint(1, 757), None))
+        verdict, stats = prove_jk(11)
+        assert verdict.label() == "Composite:CurveTest"
+        assert stats.step_reached == 8
+        assert stats.early_exit is False
 
     def test_forced_composite_does_no_arithmetic(self):
         _, stats = prove_jk(8)
