@@ -4,12 +4,7 @@ A full run costs 5(k+1) mults+squares in the chain plus ~1.1k in the
 square-root step: about 6.1k in all, with additions pinned at 4(k+1).
 """
 
-import time
-
-from cm7prime.jk_sequence import jk_closed
-from cm7prime.mont_curve import ModulusCtx, double_chain, montgomerize, \
-    sqrt_minus7
-from cm7prime.prover import test_jk
+from cm7prime.prover import bench_run, test_jk
 
 print(" k     mults+squares   additions   per-k ratio   step7 = 5(k+1)?")
 for k in (17, 100, 319, 1129, 2828):
@@ -27,16 +22,10 @@ print()
 print("the same contract holds where J_k is composite (synthetic curve,")
 print("identical op pattern), here at four-digit k:")
 for k in (4099, 6052):
-    n = jk_closed(k).value
-    ctx = ModulusCtx(n)
-    d = sqrt_minus7(ctx)
-    t0 = time.perf_counter()
-    curve, start = montgomerize(-1, 1, d if d is not None else 3, ctx)
-    double_chain(start, curve, ctx, k + 1)
-    dt = time.perf_counter() - t0
-    m, s, a, _ = ctx.op_counts()
-    print(f"  k={k}: {m + s} mults+squares (<= {6.5 * k:.0f}),"
-          f" {a} additions, chain ran in {dt:.2f}s")
+    stats = bench_run(k)
+    print(f"  k={k}: {stats.mults_plus_squarings} mults+squares"
+          f" (<= {6.5 * k:.0f}), {stats.additions} additions,"
+          f" chain ran in {stats.step7_seconds:.2f}s")
 print()
 print("doubling a point costs exactly 2S + 3M + 4A; nothing is amortized,")
 print("so counts are identical on every run and every machine.")

@@ -103,9 +103,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'k':>8}  {'step2_s':>10}  {'step7_s':>10}")
     timings: dict[int, float] = {}
     for k in kset:
-        s2, s7 = prover.bench_run(k)
-        timings[k] = s7
-        print(f"{k:>8}  {s2:>10.3f}  {s7:>10.3f}")
+        stats = prover.bench_run(k)
+        timings[k] = s7 = stats.step7_seconds
+        print(f"{k:>8}  {stats.step2_seconds:>10.3f}  {s7:>10.3f}")
     for k in kset:
         half = (k - 1) // 2 + 1
         if (k - 1) % 2 == 0 and half in timings and half != k:

@@ -88,16 +88,10 @@ class ModulusCtx:
 
     def mul(self, a: int, b: int) -> int:
         self.multiplications += 1
-        if not 0 <= a < self.N:
-            a %= self.N
-        if not 0 <= b < self.N:
-            b %= self.N
         return self._reduce(a * b)
 
     def sqr(self, a: int) -> int:
         self.squarings += 1
-        if not 0 <= a < self.N:
-            a %= self.N
         return self._reduce(a * a)
 
     def add(self, a: int, b: int) -> int:

@@ -94,6 +94,22 @@ def _stats(ctx: ModulusCtx | None, t0: float, step: int, *, early: bool = False,
                              s2, s7, *s7ops)
 
 
+def _timed(fn, *args):
+    """fn(*args) and the seconds it took."""
+    t = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t
+
+
+def _step7(start: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx, k: int,
+           keep_at: int | None = None):
+    """The k+1 doublings, their seconds and their counter deltas (M, S, A)."""
+    before = ctx.op_counts()
+    chain, s7 = _timed(double_chain, start, curve, ctx, k + 1, keep_at)
+    s7ops = tuple(b - a for a, b in zip(before, ctx.op_counts()[:3]))
+    return chain, s7, s7ops
+
+
 def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
     """All eight steps, exposing the intermediates test_jk hides."""
     if k < 2:
@@ -106,9 +122,7 @@ def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
         return PipelineResult(v, _stats(None, t0, 1))
 
     ctx = ModulusCtx(jk_closed(k).value)
-    t2 = time.perf_counter()
-    d = sqrt_minus7(ctx)  # steps 2-3
-    s2 = time.perf_counter() - t2
+    d, s2 = _timed(sqrt_minus7, ctx)  # steps 2-3
     if d is None:
         v = Verdict(VerdictKind.NO_SQRT_MINUS7)
         return PipelineResult(v, _stats(ctx, t0, 3, s2=s2), ctx=ctx)
@@ -120,12 +134,7 @@ def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
         v = Verdict(VerdictKind.GCD_WITNESS, witness=e.witness)
         return PipelineResult(v, _stats(ctx, t0, 5, s2=s2), twist, ctx=ctx)
 
-    before = ctx.op_counts()
-    t7 = time.perf_counter()
-    cur, prev, kept = double_chain(start, curve, ctx, k + 1, keep_at)  # step 7
-    s7 = time.perf_counter() - t7
-    after = ctx.op_counts()
-    s7ops = (after[0] - before[0], after[1] - before[1], after[2] - before[2])
+    (cur, prev, kept), s7, s7ops = _step7(start, curve, ctx, k, keep_at)
 
     if prev.z == 0:  # zero is absorbing: some iterate <= k was zero
         v = Verdict(VerdictKind.CURVE_TEST)  # order < 2^(k+1): composite
@@ -150,11 +159,6 @@ def test_jk(k: int) -> tuple[Verdict, RunStats]:
     return result.verdict, result.stats
 
 
-def _search_worker(k: int) -> tuple[int, Verdict, RunStats]:
-    verdict, stats = test_jk(k)
-    return k, verdict, stats
-
-
 def search(k_min: int, k_max: int, sieve_limit: int,
            workers: int = 1) -> list[tuple[int, Verdict, RunStats]]:
     """Sieve [k_min, k_max] by the primes <= sieve_limit, then test every
@@ -174,27 +178,31 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     ks = [k for k in survivors(report) if k_min <= k <= k_max]
     workers = min(workers, len(ks), os.cpu_count() or 1)
     if workers <= 1:
-        return [_search_worker(k) for k in ks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_search_worker, ks, chunksize=8))
+        runs = map(test_jk, ks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(test_jk, ks, chunksize=8))
+    return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]
 
 
-def bench_run(k: int) -> tuple[float, float]:
-    """(step-2 seconds, step-7 seconds) for J_k, timing harness only.
+def bench_run(k: int) -> RunStats:
+    """The counted full run of J_k, for any k >= 2, prime or composite.
 
     Runs the real exponentiation, then a k+1 doubling chain with the
     same operand sizes even when d^2 != -7 (composite J_k would exit at
-    step 3 and leave nothing to time): the a = -1 curve, built from d or
-    from the stand-in 3.  No verdict semantics.
+    step 3 and leave nothing to measure): the a = -1 curve, built from d
+    or from the stand-in 3.  No verdict semantics.
+
+    Returns a RunStats: the four counts of its one ModulusCtx, elapsed,
+    step2_seconds and step7_seconds, and the chain's own
+    step7_multiplications, step7_squarings and step7_additions;
+    step_reached is 7 and early_exit False, since no verdict is given.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    t0 = time.perf_counter()
     ctx = ModulusCtx(jk_closed(k).value)
-    t = time.perf_counter()
-    d = sqrt_minus7(ctx)
-    step2 = time.perf_counter() - t
+    d, s2 = _timed(sqrt_minus7, ctx)
     curve, start = montgomerize(-1, 1, d if d is not None else 3, ctx)
-    t = time.perf_counter()
-    double_chain(start, curve, ctx, k + 1)
-    step7 = time.perf_counter() - t
-    return step2, step7
+    _, s7, s7ops = _step7(start, curve, ctx, k)
+    return _stats(ctx, t0, 7, s2=s2, s7=s7, s7ops=s7ops)

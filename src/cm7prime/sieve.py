@@ -20,6 +20,7 @@ Three engines find bit-identical zeros and counts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -36,34 +37,26 @@ class SieveReport:
 
 
 def iter_primes(limit: int) -> Iterator[int]:
-    """All primes <= limit by a segmented sieve, O(sqrt(limit)) memory."""
+    """All primes <= limit by a segmented sieve over the odd numbers.
+
+    The odd sieving primes up to sqrt(limit) come from the same sieve one
+    level down.  A segment holds max(sqrt(limit), 2^16) odd numbers, so
+    memory stays O(sqrt(limit)).
+    """
     if limit < 2:
         return
     yield 2
     root = isqrt(limit)
-    # odd base primes up to root
-    half = (root - 1) // 2  # flags for 3, 5, ..., root (odd only)
-    flags = bytearray([1]) * half
-    for i in range(half):
-        if flags[i]:
-            p = 2 * i + 3
-            for j in range((p * p - 3) // 2, half, p):
-                flags[j] = 0
-    base = [2 * i + 3 for i in range(half) if flags[i]]
-    yield from (p for p in base if p <= limit)
-    lo = root + 1
-    seg_size = max(root, 1 << 16)
-    while lo <= limit:
-        hi = min(lo + seg_size - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
+    base = list(iter_primes(root))[1:]
+    span = max(root, 1 << 16)
+    for lo in range(3, limit + 1, 2 * span):
+        odds = range(lo, min(lo + 2 * span - 1, limit + 1), 2)
+        flags = bytearray([1]) * len(odds)  # flags[i] stands for odds[i]
         for p in base:
-            start = max(p * p, (lo + p - 1) // p * p)
-            for m in range(start, hi + 1, p):
-                seg[m - lo] = 0
-        for i, flag in enumerate(seg):
-            if flag and (lo + i) % 2 == 1:
-                yield lo + i
-        lo = hi + 1
+            # the first odd multiple of p that is >= lo and >= p^2
+            j = (max(p * p, (-(-lo // p) | 1) * p) - lo) // 2
+            flags[j::p] = bytes(len(range(j, len(odds), p)))
+        yield from compress(odds, flags)
 
 
 def _small_j(n: int, limit: int) -> dict[int, int]:

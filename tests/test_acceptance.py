@@ -16,9 +16,8 @@ from cm7prime.certificate import (Certificate, build_certificate, parse,
                                   serialize, verify_certificate)
 from cm7prime.cli import _SELFTESTS
 from cm7prime.jk_sequence import jk_closed, jk_mod_stream, period_mod
-from cm7prime.mont_curve import (ModulusCtx, double_chain, is_strongly_nonzero,
-                                 is_zero_mod, montgomerize, sqrt_minus7,
-                                 xz_double)
+from cm7prime.mont_curve import (ModulusCtx, is_strongly_nonzero, is_zero_mod,
+                                 montgomerize, sqrt_minus7, xz_double)
 from cm7prime.prover import bench_run, search
 from cm7prime.prover import test_jk as prove_jk
 from cm7prime.refcheck import AffinePoint, probable_prime, trial_division, \
@@ -106,18 +105,15 @@ def test_criterion_4_operation_count_contract(capsys, searched):
                 assert stats.step7_additions == 4 * (k + 1), k
                 completed += 1
         assert completed >= 40  # at least every prime index ran a full chain
-        # global budget at k >= 2^12: a real square-root step plus the
-        # k+1 doublings on one counted context (chain cost is independent
-        # of the residue values, so a synthetic d stands in when J_k is
+        # global budget at k >= 2^12: bench_run's full run, a real
+        # square-root step plus the k+1 doublings (chain cost is independent
+        # of the residue values, so a stand-in d serves when J_k is
         # composite and no true sqrt(-7) exists)
         for k in (4099, 4727, 6052):
-            n = jk_closed(k).value
-            ctx = ModulusCtx(n)
-            d = sqrt_minus7(ctx)
-            curve, start = montgomerize(-1, 1, d if d is not None else 3, ctx)
-            double_chain(start, curve, ctx, k + 1)
-            m, s, _, _ = ctx.op_counts()
-            assert m + s <= 6.5 * k, (k, m + s)
+            stats = bench_run(k)
+            assert stats.mults_plus_squarings <= 6.5 * k, \
+                (k, stats.mults_plus_squarings)
+            assert stats.additions == 4 * (k + 1) + 4, k  # chain, montgomerize
         # real pipeline runs at the same sizes stay inside the budget too
         for k in (4727, 6052):
             _, stats = prove_jk(k)
@@ -221,8 +217,8 @@ def test_criterion_9_scaling_and_invariants(capsys):
         for name, check in _SELFTESTS:
             check()
         # (b) soft scaling: step-7 time between k = 2^14+1 and 2^15+1
-        _, s7_small = bench_run(2**14 + 1)
-        _, s7_large = bench_run(2**15 + 1)
+        s7_small = bench_run(2**14 + 1).step7_seconds
+        s7_large = bench_run(2**15 + 1).step7_seconds
         ratio = s7_large / s7_small
         assert 3.5 <= ratio <= 7.0, ratio
         # (c) the very long survivor-count reproduction is documented as a

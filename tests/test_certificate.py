@@ -3,6 +3,8 @@
 import contextlib
 import dataclasses
 import functools
+import itertools
+import math
 import random
 import sys
 from decimal import Decimal, getcontext
@@ -15,10 +17,25 @@ from cm7prime.certificate import (Certificate, CertificateFormatError,
                                   minimal_doubling_exponent, parse, serialize,
                                   verify_certificate)
 from cm7prime.jk_sequence import jk_closed
-from cm7prime.mont_curve import ModulusCtx, montgomerize, sqrt_minus7
+from cm7prime.mont_curve import (ModulusCtx, montgomerize, montgomery_constants,
+                                 projective_rhs, sqrt_minus7)
 from cm7prime.prover import VerdictKind
-from cm7prime.refcheck import AffinePoint, weier_scalar_mult
-from cm7prime.twist_tables import select_twist
+from cm7prime.refcheck import AffinePoint, sqrt_mod, weier_scalar_mult
+from cm7prime.twist_tables import TWISTS, select_twist
+
+
+def _crt_sqrts(v: int, primes: tuple[int, ...]) -> list[int]:
+    """Every square root of v modulo a product of distinct primes = 3 mod 4."""
+    n = math.prod(primes)
+    per_prime = []
+    for p in primes:
+        s = sqrt_mod(v, p)
+        if s is None:
+            return []
+        per_prime.append({s, -s % p})
+    return sorted(sum(s * (n // p) * pow(n // p, -1, p)
+                      for s, p in zip(combo, primes)) % n
+                  for combo in itertools.product(*per_prime))
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,16 +318,47 @@ class TestVerify:
         assert not ok and stats.reason == "gcd"
 
     def test_no_square_root_forgery(self):
-        # no d exists with d^2 = -7 mod 8327, so every candidate fails
+        # 8327 = 11 * 757 has exactly four d with d^2 = -7; every other d
+        # fails the sqrt-minus7 check
         n = 8327
+        roots = [d for d in range(n) if d * d % n == n - 7]
+        assert roots == [365, 1879, 6448, 7962]
+        non_roots = sorted(set(range(n)) - set(roots))
         rng = random.Random(7)
         for _ in range(20):
-            cert = Certificate(11, n, -1, rng.randrange(n),
+            cert = Certificate(11, n, -1, rng.choice(non_roots),
                                minimal_doubling_exponent(n),
                                (rng.randrange(n), rng.randrange(n),
                                 rng.randrange(n)))
             ok, stats = verify_certificate(cert)
             assert not ok and stats.reason == "sqrt-minus7"
+
+    @pytest.mark.parametrize("k, n_roots, sqrts", [
+        (11, 4, lambda v, n: [y for y in range(n) if y * y % n == v % n]),
+        (25, 8, lambda v, n: _crt_sqrts(v, (23, 179, 32603))),
+    ], ids=["brute-force", "crt"])
+    def test_composite_n_dies_at_the_order_check(self, k, n_roots, sqrts):
+        # a true d and a true point of the curve over a composite J_k pass
+        # every check before the chain; only the order checks catch them
+        n = jk_closed(k).value
+        ctx = ModulusCtx(n)
+        r = minimal_doubling_exponent(n)
+        rng = random.Random(k)
+        roots = sqrts(-7, n)
+        assert len(roots) == n_roots
+        for d in roots:
+            for _ in range(10):
+                a = rng.choice(TWISTS)
+                b_coef, c_coef = montgomery_constants(a, d, ctx)
+                ys = []
+                while not ys:
+                    x = rng.randrange(n)
+                    ys = sqrts(projective_rhs(x, 1, c_coef, ctx)
+                               * pow(b_coef, -1, n), n)
+                cert = Certificate(k, n, a, d, r, (x, rng.choice(ys), 1))
+                ok, stats = verify_certificate(cert)
+                assert not ok
+                assert stats.reason in ("order-penultimate", "order-final")
 
     def test_random_single_field_tampering(self):
         cert = build_certificate(18)

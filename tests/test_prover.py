@@ -7,8 +7,7 @@ import pytest
 from cm7prime import prover
 from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import forced_composite, jk_closed
-from cm7prime.mont_curve import (ModulusCtx, XZPoint, double_chain, montgomerize,
-                                 sqrt_minus7)
+from cm7prime.mont_curve import XZPoint
 from cm7prime.prover import (Verdict, VerdictKind, bench_run, run_pipeline,
                              search)
 from cm7prime.prover import test_jk as prove_jk
@@ -138,17 +137,13 @@ class TestRunStats:
         assert stats.additions == 0
 
     def test_full_run_within_global_budget_at_large_k(self):
-        # a full chain at k >= 2^12: real square-root step plus the k+1
-        # doublings (synthetic curve constants when J_k is composite --
-        # the cost per step does not depend on the residue values)
+        # bench_run's full chain at k >= 2^12: the real square-root step
+        # plus the k+1 doublings, on a stand-in curve when J_k is composite
+        # (the cost per step does not depend on the residue values)
         k = 4099
-        n = jk_closed(k).value
-        ctx = ModulusCtx(n)
-        d = sqrt_minus7(ctx)
-        curve, start = montgomerize(-1, 1, d if d is not None else 3, ctx)
-        double_chain(start, curve, ctx, k + 1)
-        m, s, _, _ = ctx.op_counts()
-        assert m + s <= 6.5 * k
+        stats = bench_run(k)
+        assert stats.mults_plus_squarings <= 6.5 * k
+        assert stats.additions == 4 * (k + 1) + 4  # the chain, montgomerize
 
     def test_elapsed_and_step_timers_populated(self):
         _, stats = prove_jk(17)
@@ -251,9 +246,28 @@ class TestSearch:
 
 
 class TestBenchRun:
+    @pytest.mark.parametrize("k, counts", [
+        (64, (220, 193, 264, 3)),
+        (4099, (12630, 12301, 16404, 3)),
+        (4727, (14556, 14185, 18916, 3)),
+        (6052, (18625, 18160, 24216, 3)),
+    ])
+    def test_counts_are_pinned(self, k, counts):
+        # (mults, squarings, additions, gcd_calls) of the stand-in full run
+        stats = bench_run(k)
+        assert (stats.multiplications, stats.squarings, stats.additions,
+                stats.gcd_calls) == counts
+        assert (stats.step7_multiplications, stats.step7_squarings,
+                stats.step7_additions) == (3 * (k + 1), 2 * (k + 1),
+                                           4 * (k + 1))
+        assert stats.step_reached == 7
+        assert stats.early_exit is False
+        assert stats.step2_seconds > 0 and stats.step7_seconds > 0
+
     def test_returns_positive_timings(self):
-        s2, s7 = bench_run(64)
-        assert s2 > 0 and s7 > 0
+        stats = bench_run(64)
+        assert stats.step2_seconds > 0 and stats.step7_seconds > 0
+        assert stats.elapsed >= stats.step2_seconds + stats.step7_seconds
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):

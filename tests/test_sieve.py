@@ -1,10 +1,17 @@
 """Sieving the index range by small primes, with three interchangeable engines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cm7prime.jk_sequence import jk_closed, jk_mod_stream
+from cm7prime.prover import search
 from cm7prime.sieve import SieveReport, iter_primes, sieve_range, survivors
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TABLE_PRIMES_TO_400 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
                        65, 77, 84, 87, 100, 109, 147, 170, 213, 235, 287,
                        319, 375]
@@ -21,7 +28,7 @@ class TestIterPrimes:
 
     def test_segmented_matches_dense_eratosthenes(self):
         # re-derive the same range with a plain one-shot sieve
-        limit = 10**5 + 200
+        limit = 4 * 10**5 + 1  # four segments of 2^16 odd numbers
         flags = bytearray([1]) * (limit + 1)
         flags[0] = flags[1] = 0
         for p in range(2, int(limit**0.5) + 1):
@@ -132,6 +139,27 @@ class TestEngines:
 
     def test_auto_resolves(self):
         assert sieve_range(50, 30) == sieve_range(50, 30, engine="python")
+
+    def test_numpy_is_optional(self):
+        # with numpy unimportable, a fresh interpreter still sieves ("auto"
+        # falls back to the python engine) and searches with the same rows
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import cm7prime\n"
+            "print(repr(cm7prime.sieve_range(200, 500)))\n"
+            "print(repr([(k, v, s.multiplications, s.squarings, s.additions,"
+            " s.gcd_calls) for k, v, s in cm7prime.search(2, 100, 1000)]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        rows = [(k, v, s.multiplications, s.squarings, s.additions,
+                 s.gcd_calls) for k, v, s in search(2, 100, 1000)]
+        assert res.stdout.splitlines() == [
+            repr(sieve_range(200, 500, engine="python")), repr(rows)]
 
 
 class TestSurvivorsHelper:
