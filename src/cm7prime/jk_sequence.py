@@ -11,7 +11,9 @@ J_k satisfies the linear recurrence
 
 with seeds J_1..J_4 = 11, 11, 23, 67 (characteristic polynomial
 (x - 1)(x - 2)(x^2 - x + 2)).  _recurrence is its one implementation: the
-streams, the period finder and every sieve engine take J_k mod ell from it.
+streams, the period finder and the streaming sieve engines take J_k mod ell
+from it.  trace_mod gives a single t_k mod m by a ladder instead, for the
+discrete-log sieve engine.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ def trace(k: int) -> int:
     for _ in range(k - 1):
         t_prev, t_cur = t_cur, t_cur - 2 * t_prev
     return t_cur
+
+
+def trace_mod(k: int, m: int) -> tuple[int, int]:
+    """(t_k mod m, t_{k+1} mod m) by a Lucas ladder in O(log k) steps.
+
+    t is the Lucas V sequence with P = 1, Q = 2, so from (V_j, V_{j+1}, Q^j)
+    a bit of k gives V_{2j} = V_j^2 - 2Q^j, V_{2j+1} = V_j V_{j+1} - Q^j and
+    V_{2j+2} = V_{j+1}^2 - 2Q^{j+1}.  Defined for k >= 0 and m >= 2.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    v, w, q = 2 % m, 1 % m, 1  # V_j, V_{j+1}, Q^j with j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w, q = (v * w - q) % m, (w * w - 4 * q) % m, 2 * q * q % m
+        else:
+            v, w, q = (v * v - 2 * q) % m, (v * w - q) % m, q * q % m
+    return v, w
 
 
 def jk_closed(k: int) -> JkValue:
@@ -85,26 +105,6 @@ def jk_mod_stream(ell: int, k_max: int) -> Iterator[int]:
     yield from _recurrence(k_max, ell)
 
 
-def _first_return(p: int, k_max: int) -> tuple[int | None, list[int]]:
-    """(period, zeros) of J_k mod p from streaming k = 1..k_max at most.
-
-    period is the least m whose window J_{m+1..m+4} equals J_{1..4} mod p
-    with m + 4 <= k_max, else None; zeros are the k <= period (<= k_max
-    when None) with p | J_k.
-    """
-    s1, s2, s3, s4 = (s % p for s in SEEDS)
-    w1 = w2 = w3 = None  # the three residues before the current one
-    zeros: list[int] = []
-    for k, residue in enumerate(_recurrence(k_max, p), start=1):
-        if residue == 0:
-            zeros.append(k)
-        if residue == s4 and w3 == s3 and w2 == s2 and w1 == s1 and k > 4:
-            period = k - 4
-            return period, [z for z in zeros if z <= period]
-        w1, w2, w3 = w2, w3, residue
-    return None, zeros
-
-
 def period_mod(p: int) -> int:
     """Least m >= 1 with J_{k+m} = J_k (mod p) for all k, for odd prime p.
 
@@ -117,10 +117,13 @@ def period_mod(p: int) -> int:
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
     cap = p * p * p * p + 8
-    period, _ = _first_return(p, cap)
-    if period is None:
-        raise RuntimeError(f"no period found mod {p} within {cap} steps")
-    return period
+    seeds = tuple(s % p for s in SEEDS)
+    window = ()  # the last four residues
+    for k, residue in enumerate(_recurrence(cap, p), start=1):
+        window = window[-3:] + (residue,)
+        if window == seeds and k > 4:
+            return k - 4
+    raise RuntimeError(f"no period found mod {p} within {cap} steps")
 
 
 def forced_composite(k: int) -> bool:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cm7prime.jk_sequence import (RECURRENCE, SEEDS, forced_composite,
                                   jk_closed, jk_mod_stream, jk_stream,
-                                  period_mod, trace)
+                                  period_mod, trace, trace_mod)
 from cm7prime.quad_ring import ALPHA, jk_element, qi_norm, qi_pow
 from cm7prime.refcheck import trial_division
 from cm7prime.twist_tables import jacobi_symbol
@@ -50,6 +50,11 @@ class TestClosedForm:
             t_k = 2 * p.u + p.v
             assert trace(k) == t_k
             assert jk_closed(k).value == 1 + 2 * t_k + (1 << (k + 2))
+
+    @pytest.mark.parametrize("m", [2, 3, 11, 340337, 2**61 - 1])
+    def test_trace_mod_ladder_matches_trace(self, m):
+        for k in range(300):
+            assert trace_mod(k, m) == (trace(k) % m, trace(k + 1) % m), k
 
 
 class TestStream:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cm7prime.jk_sequence import forced_composite, jk_closed
+from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError,
                                  XZPoint, double_chain, is_strongly_nonzero,
                                  is_zero_mod, montgomerize, sqrt_minus7,

@@ -1,15 +1,12 @@
 """End-to-end verdicts, run statistics, and the range search."""
 
-import dataclasses
-
 import pytest
 
 from cm7prime import prover
 from cm7prime.certificate import build_certificate, verify_certificate
-from cm7prime.jk_sequence import forced_composite, jk_closed
+from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import XZPoint
-from cm7prime.prover import (Verdict, VerdictKind, bench_run, run_pipeline,
-                             search)
+from cm7prime.prover import VerdictKind, bench_run, run_pipeline, search
 from cm7prime.prover import test_jk as prove_jk
 from cm7prime.refcheck import probable_prime, trial_division
 

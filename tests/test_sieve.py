@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from cm7prime.jk_sequence import jk_closed, jk_mod_stream
+from cm7prime.jk_sequence import jk_closed, jk_mod_stream, trace_mod
 from cm7prime.prover import search
-from cm7prime.sieve import SieveReport, iter_primes, sieve_range, survivors
+from cm7prime.sieve import (_ENGINES, _engine_python, iter_primes, sieve_range,
+                            survivors)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TABLE_PRIMES_TO_400 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
@@ -140,14 +141,31 @@ class TestEngines:
     def test_auto_resolves(self):
         assert sieve_range(50, 30) == sieve_range(50, 30, engine="python")
 
+    @pytest.mark.parametrize("n,limit,picked", [(400, 10**4, "numpy"),
+                                                (1000, 10**4, "period")])
+    def test_auto_on_both_sides_of_the_crossover(self, n, limit, picked,
+                                                 monkeypatch):
+        pytest.importorskip("numpy")
+        calls = []
+
+        def spy(name, engine):
+            return lambda n, primes: calls.append(name) or engine(n, primes)
+
+        for name, engine in list(_ENGINES.items()):
+            monkeypatch.setitem(_ENGINES, name, spy(name, engine))
+        assert sieve_range(n, limit) == sieve_range(n, limit, engine="python")
+        assert calls == [picked, "python"]
+
     def test_numpy_is_optional(self):
         # with numpy unimportable, a fresh interpreter still sieves ("auto"
-        # falls back to the python engine) and searches with the same rows
+        # is the discrete-log engine on both sides of the crossover) and
+        # searches with the same rows
         code = (
             "import sys\n"
             "sys.modules['numpy'] = None\n"
             "import cm7prime\n"
             "print(repr(cm7prime.sieve_range(200, 500)))\n"
+            "print(repr(cm7prime.sieve_range(1000, 10**4)))\n"
             "print(repr([(k, v, s.multiplications, s.squarings, s.additions,"
             " s.gcd_calls) for k, v, s in cm7prime.search(2, 100, 1000)]))\n")
         env = dict(os.environ)
@@ -159,7 +177,34 @@ class TestEngines:
         rows = [(k, v, s.multiplications, s.squarings, s.additions,
                  s.gcd_calls) for k, v, s in search(2, 100, 1000)]
         assert res.stdout.splitlines() == [
-            repr(sieve_range(200, 500, engine="python")), repr(rows)]
+            repr(sieve_range(200, 500, engine="python")),
+            repr(sieve_range(1000, 10**4, engine="python")), repr(rows)]
+
+
+class TestDiscreteLogEngine:
+    def test_every_small_prime_matches_the_stream(self):
+        primes = [p for p in iter_primes(3000) if p not in (2, 7)]
+        kinds = {p % 7 in (1, 2, 4) for p in primes}
+        assert kinds == {True, False} and {3, 5, 11} <= set(primes)
+        for ell in primes:
+            got = _ENGINES["period"](2000, [ell])
+            assert got == _engine_python(2000, [ell]), ell
+
+    def test_both_roots_hitting_one_k_count_once(self):
+        # 340337 splits, and each root of x^2 - x + 2 gives a zero of J_k
+        # at the same k, where 340337^2 | J_k
+        ell, n = 340337, 10**5
+        elim, per_prime = _ENGINES["period"](n, [ell])
+        assert per_prime == {ell: 1}
+        assert (elim, per_prime) == _engine_python(n, [ell])
+        k, square = elim.index(1), ell * ell
+        t_k, _ = trace_mod(k, square)
+        assert (1 + 2 * t_k + pow(2, k + 2, square)) % square == 0
+
+    def test_matches_numpy_at_search_scale(self):
+        pytest.importorskip("numpy")
+        assert (sieve_range(3000, 10**5, engine="period")
+                == sieve_range(3000, 10**5, engine="numpy"))
 
 
 class TestSurvivorsHelper:
