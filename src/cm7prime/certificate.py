@@ -9,6 +9,15 @@ and the curve over F_p cannot hold a point of order exceeding
 r = k/2 + O(1) doublings (about 2.5k multiplications), half the cost
 of the full run, plus O(1) consistency checks.
 
+Acceptance does not depend on how d was found.  The verifier checks
+d^2 = -7 (mod N); that makes the curve constants well defined, and the
+Hasse bound above holds for every curve over every F_p, so nothing else
+about d is needed.  The builder takes d from the CM structure, not from
+step 2's exponentiation: with j_k = u + v*alpha, alpha -> -u/v (mod N)
+and d = 2*alpha - 1, signed so that the Legendre symbol (d/N) equals
+(-1)^((N+1)/4).  For prime N that is exactly 7^((N+1)/4), the d of
+test_jk, so a certificate is the same byte for byte either way.
+
 The y-coordinate is recovered from the projective Montgomery equation
 
     B y^2 z = x^3 + A x^2 z + x z^2  (mod N)
@@ -19,14 +28,16 @@ as y = (y^2)^((N+1)/4), which works because N = 3 (mod 4).
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass
 
-from .jk_sequence import jk_closed
+from .jk_sequence import forced_composite, jk_closed
 from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
                          XZPoint, double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomery_constants, projective_rhs)
-from .prover import Verdict, run_pipeline
-from .twist_tables import TWISTS
+from .prover import Verdict, _curve_steps, test_jk
+from .quad_ring import jk_element
+from .twist_tables import TWISTS, jacobi_symbol
 
 _VERSION_LINE = "JKCERT 1"
 _FIELDS = ("k", "N", "a", "d", "r", "x", "y", "z")
@@ -87,18 +98,53 @@ def _on_curve_projective(x: int, y: int, z: int, b_coef: int, c_coef: int,
     return lhs == projective_rhs(x, z, c_coef, ctx)
 
 
+def _cm_sqrt_minus7(k: int, ctx: ModulusCtx) -> int:
+    """A square root of -7 mod J_k = ctx.N from the CM structure.
+
+    j_k = u + v*alpha has norm J_k, so alpha -> -u/v (mod J_k) respects
+    alpha^2 = alpha - 2 and d = 2*alpha - 1 squares to -7, for any J_k
+    where v is invertible; one counted inverse replaces the k-bit power
+    of step 2.  The sign is the one with Jacobi symbol
+    (d/J_k) = (-1)^((J_k+1)/4): for prime J_k that is exactly
+    7^((J_k+1)/4), because (7/J_k) = -1 and (-1/J_k) = -1.  Raises
+    NonInvertibleError when v shares a factor with J_k (J_k composite).
+    """
+    n = ctx.N
+    j = jk_element(k)
+    alpha = ctx.mul(-j.u % n, ctx.inv(j.v))
+    d = ctx.sub(ctx.add(alpha, alpha), 1)
+    want = 1 if n % 8 == 7 else -1  # (-1)^((n+1)/4), n = 3 (mod 4)
+    return d if jacobi_symbol(d, n) == want else n - d
+
+
 def build_certificate(k: int) -> Certificate | Verdict:
-    """Certificate for J_k, or the composite Verdict when J_k is not prime."""
+    """Certificate for J_k, or the composite Verdict when J_k is not prime.
+
+    d comes from the CM structure (_cm_sqrt_minus7), not from step 2's
+    exponentiation, then steps 4-8 run once with the iterate s = k + 1 - r
+    kept.  Certifying a prime costs that chain plus one exponentiation,
+    the y recovery.  When the chain does not say Prime the verdict is
+    test_jk(k)'s, so a composite J_k that is not forced costs a chain
+    plus a full test_jk; that trade keeps every composite verdict the
+    one test_jk gives.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if forced_composite(k):
+        return test_jk(k)[0]
     n = jk_closed(k).value
     r = minimal_doubling_exponent(n)
     s = k + 1 - r
-    res = run_pipeline(k, keep_at=s)
+    ctx = ModulusCtx(n)
+    try:
+        d = _cm_sqrt_minus7(k, ctx)
+    except NonInvertibleError:
+        return test_jk(k)[0]
+    res = _curve_steps(k, ctx, d, time.perf_counter(), keep_at=s)
     if not res.verdict.is_prime:
-        return res.verdict
-    ctx, curve, q = res.ctx, res.curve, res.kept
-    assert ctx is not None and curve is not None and q is not None
+        return test_jk(k)[0]
+    curve, q = res.curve, res.kept
+    assert curve is not None and q is not None
     if s == 0:
         # Q is the transformed start point (B(x0 - r), B y0)
         y = ctx.mul(curve.B, res.twist.point[1] % n)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .quad_ring import ALPHA, qi_pow
+
 RECURRENCE = (4, -7, 8, -4)  # J_{k+4} = 4 J_{k+3} - 7 J_{k+2} + 8 J_{k+1} - 4 J_k
 SEEDS = (11, 11, 23, 67)  # J_1, J_2, J_3, J_4
 
@@ -32,15 +34,15 @@ class JkValue:
 
 
 def trace(k: int) -> int:
-    """t_k = alpha^k + conj(alpha)^k.  Defined for k >= 0."""
+    """t_k = alpha^k + conj(alpha)^k.  Defined for k >= 0.
+
+    alpha^k = u + v*alpha and conj(alpha) = 1 - alpha give t_k = 2u + v, so
+    one binary power in Z[alpha] costs O(log k) big-int multiplications.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    t_prev, t_cur = 2, 1  # t_0, t_1
-    if k == 0:
-        return t_prev
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, t_cur - 2 * t_prev
-    return t_cur
+    p = qi_pow(ALPHA, k)
+    return 2 * p.u + p.v
 
 
 def trace_mod(k: int, m: int) -> tuple[int, int]:

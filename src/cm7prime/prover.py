@@ -126,7 +126,16 @@ def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
     if d is None:
         v = Verdict(VerdictKind.NO_SQRT_MINUS7)
         return PipelineResult(v, _stats(ctx, t0, 3, s2=s2), ctx=ctx)
+    return _curve_steps(k, ctx, d, t0, keep_at, s2)
 
+
+def _curve_steps(k: int, ctx: ModulusCtx, d: int, t0: float,
+                 keep_at: int | None = None, s2: float = 0.0) -> PipelineResult:
+    """Steps 4-8 on J_k = ctx.N from any d with d^2 = -7 (mod J_k).
+
+    A Prime verdict does not depend on which square root d is: the
+    order-2^(k+1) argument only uses d^2 = -7.
+    """
     twist = select_twist(k)  # step 4
     try:
         curve, start = montgomerize(twist.a, twist.point[0], d, ctx)  # 5-6

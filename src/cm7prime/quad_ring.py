@@ -48,8 +48,9 @@ def qi_pow(x: QuadInt, e: int) -> QuadInt:
     while e:
         if e & 1:
             acc = qi_mul(acc, base)
-        base = qi_mul(base, base)
         e >>= 1
+        if e:  # the square after the top bit would be thrown away
+            base = qi_mul(base, base)
     return acc
 
 

@@ -103,10 +103,10 @@ def jacobi_symbol(m: int, n: int) -> int:
     m %= n
     result = 1
     while m:
-        while m % 2 == 0:
-            m //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        z = (m & -m).bit_length() - 1  # the factors of two, in one shift
+        m >>= z
+        if z & 1 and n % 8 in (3, 5):
+            result = -result
         m, n = n, m
         if m % 4 == 3 and n % 4 == 3:
             result = -result

@@ -7,19 +7,23 @@ import itertools
 import math
 import random
 import sys
+import time
 from decimal import Decimal, getcontext
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cm7prime.certificate import (Certificate, CertificateFormatError,
-                                  build_certificate, decimal_digits,
-                                  exceeds_quarter_bound,
+                                  _cm_sqrt_minus7, build_certificate,
+                                  decimal_digits, exceeds_quarter_bound,
                                   minimal_doubling_exponent, parse, serialize,
                                   verify_certificate)
-from cm7prime.jk_sequence import jk_closed
+from cm7prime.jk_sequence import forced_composite, jk_closed
 from cm7prime.mont_curve import (ModulusCtx, montgomerize, montgomery_constants,
                                  projective_rhs, sqrt_minus7)
-from cm7prime.prover import VerdictKind
+from cm7prime.prover import VerdictKind, _curve_steps
+from cm7prime.prover import test_jk as prove_jk
 from cm7prime.refcheck import AffinePoint, sqrt_mod, weier_scalar_mult
 from cm7prime.twist_tables import TWISTS, select_twist
 
@@ -143,6 +147,64 @@ class TestBuild:
             # x/z = B (x_w - shift) and y = +- z * B * y_w
             assert x % n == z * curve.B % n * (xw - curve.r_shift) % n
             assert y % n in (z * curve.B * yw % n, -z * curve.B * yw % n)
+
+
+def _step_two_roots(ks):
+    """(k, J_k, 7^((J_k+1)/4)) for each k in ks that passes step 3."""
+    for k in ks:
+        if not forced_composite(k):
+            n = jk_closed(k).value
+            d = sqrt_minus7(ModulusCtx(n))
+            if d is not None:
+                yield k, n, d
+
+
+class TestCMRoot:
+    """d = 2*alpha - 1 with alpha -> -u/v (mod J_k), signed by (d/J_k)."""
+
+    def test_equals_step_two_wherever_step_three_passes(self):
+        roots = list(_step_two_roots([*range(2, 1201), 3779]))
+        for k, n, d in roots:
+            assert _cm_sqrt_minus7(k, ModulusCtx(n)) == d, k
+        assert len(roots) == 37  # 36 k <= 1200, then 3779
+
+    def test_either_root_gives_the_same_verdict(self):
+        # steps 4-8 only use d^2 = -7, so -d must decide as d does
+        for k, n, d in _step_two_roots(range(2, 700)):
+            res = _curve_steps(k, ModulusCtx(n), n - d, 0.0)
+            assert res.verdict == prove_jk(k)[0], k
+
+    def test_squares_to_minus_seven_over_composite_jk(self):
+        # the root needs no primality: only v invertible mod J_k
+        for k in (11, 12, 13, 25):
+            n = jk_closed(k).value
+            assert sqrt_minus7(ModulusCtx(n)) is None
+            d = _cm_sqrt_minus7(k, ModulusCtx(n))
+            assert d * d % n == n - 7, k
+
+    def test_certificate_exactly_when_test_jk_says_prime(self):
+        for k in range(2, 401):
+            built = build_certificate(k)
+            verdict, _ = prove_jk(k)
+            if verdict.is_prime:
+                assert isinstance(built, Certificate), k
+            else:
+                assert built == verdict, k
+
+    @pytest.mark.parametrize("k", [17, 18, 28])
+    def test_one_exponentiation_per_prime(self, k, monkeypatch):
+        # only the y recovery may exponentiate; step 2's power is gone
+        calls = []
+        pow_mod = ModulusCtx.pow_mod
+
+        def spy(self, base, exponent):
+            calls.append(exponent)
+            return pow_mod(self, base, exponent)
+
+        monkeypatch.setattr(ModulusCtx, "pow_mod", spy)
+        cert = build_certificate(k)
+        assert isinstance(cert, Certificate) and cert.s > 0
+        assert calls == [(cert.n + 1) // 4]
 
 
 class TestSerialization:
@@ -402,3 +464,62 @@ class TestVerify:
             assert not ok, k
             tried += 1
         assert tried >= 100
+
+
+_PROPERTY_KS = (17, 18, 28, 38)
+_FIELDS = ("k", "n", "a", "d", "r", "x", "y", "z")
+
+
+def _with_field(cert: Certificate, field: str, value: int) -> Certificate:
+    if field in ("x", "y", "z"):
+        q = list(cert.q)
+        q["xyz".index(field)] = value
+        return dataclasses.replace(cert, q=tuple(q))
+    return dataclasses.replace(cert, **{field: value})
+
+
+def _field(cert: Certificate, field: str) -> int:
+    if field in ("x", "y", "z"):
+        return cert.q["xyz".index(field)]
+    return getattr(cert, field)
+
+
+class TestVerifyProperties:
+    @given(st.sampled_from(_PROPERTY_KS), st.sampled_from(_FIELDS), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_every_single_field_mutation_is_rejected(self, k, field, data):
+        cert = _certificate(k)
+        old = _field(cert, field)
+        value = data.draw(st.one_of(
+            st.integers(0, cert.n - 1),  # an in-range residue
+            st.integers(old - 64, old + 64),  # a near miss
+            st.integers(),
+            st.sampled_from(TWISTS)), label="value")
+        # no mutation, or the negated point (valid, see below)
+        assume(value != old and not (field == "y" and value == cert.n - old))
+        ok, stats = verify_certificate(_with_field(cert, field, value))
+        assert not ok and stats.reason is not None
+
+    @pytest.mark.parametrize("k", _PROPERTY_KS)
+    def test_negated_point_is_the_one_valid_y_change(self, k):
+        # (x, -y, z) is -Q, whose order is Q's: a second valid certificate
+        cert = _certificate(k)
+        assert verify_certificate(_with_field(cert, "y", cert.n - cert.q[1]))[0]
+
+    @given(st.sampled_from(_PROPERTY_KS), st.sampled_from(("d", "x", "y", "z", "r")),
+           st.integers(0, 10**6), st.integers(0, 2**64))
+    @settings(max_examples=200, deadline=None)
+    def test_oversized_fields_are_rejected_in_bounded_time(self, k, field, bits,
+                                                           low):
+        cert = _certificate(k)
+        value = (cert.n << bits) + low  # at least N, up to a million bits more
+        start = time.perf_counter()
+        ok, stats = verify_certificate(_with_field(cert, field, value))
+        elapsed = time.perf_counter() - start
+        want = "r-bound" if field == "r" else "residue-range"
+        assert (ok, stats.reason) == (False, want)
+        # the work does not grow with the field: at most the r-bound's
+        # gcd and squaring, and a fixed wall-clock ceiling
+        assert (stats.multiplications, stats.additions) == (0, 0)
+        assert stats.squarings <= 1 and stats.gcd_calls <= 1
+        assert elapsed < 0.5, (field, bits, elapsed)

@@ -51,6 +51,11 @@ class TestClosedForm:
             assert trace(k) == t_k
             assert jk_closed(k).value == 1 + 2 * t_k + (1 << (k + 2))
 
+    def test_closed_form_matches_the_recurrence_to_2000(self):
+        # trace is a binary power in Z[alpha]; the stream is the recurrence
+        for jv in jk_stream(2000):
+            assert jk_closed(jv.k).value == jv.value, jv.k
+
     @pytest.mark.parametrize("m", [2, 3, 11, 340337, 2**61 - 1])
     def test_trace_mod_ladder_matches_trace(self, m):
         for k in range(300):

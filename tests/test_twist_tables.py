@@ -1,5 +1,7 @@
 """Twist/point selection tables and the quadratic-character machinery."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,29 @@ class TestJacobiSymbol:
     def test_periodic_in_numerator(self, m, half):
         n = 2 * half + 1
         assert jacobi_symbol(m, n) == jacobi_symbol(m + n, n)
+
+    def test_matches_one_bit_at_a_time_halving(self):
+        # the reference strips factors of two one halving per loop; the
+        # implementation strips them all with one shift
+        def by_halving(m, n):
+            m %= n
+            result = 1
+            while m:
+                while m % 2 == 0:
+                    m //= 2
+                    if n % 8 in (3, 5):
+                        result = -result
+                m, n = n, m
+                if m % 4 == 3 and n % 4 == 3:
+                    result = -result
+                m %= n
+            return result if n == 1 else 0
+
+        rng = random.Random(0x1AC0)
+        for _ in range(20000):
+            n = rng.randrange(1, 1 << rng.randrange(1, 300)) | 1
+            m = rng.randrange(-(1 << 300), 1 << 300) << rng.randrange(0, 40)
+            assert jacobi_symbol(m, n) == by_halving(m, n), (m, n)
 
     def test_zero_iff_common_factor(self):
         assert jacobi_symbol(6, 9) == 0
