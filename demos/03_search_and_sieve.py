@@ -2,7 +2,9 @@
 
 Two filters run before the doubling chain: the congruence classes that
 force a factor of 3 or 5, and divisibility of J_k by any other small
-prime, detected by streaming the recurrence modulo that prime.
+prime ell.  ell | J_k = N(1 + 2 alpha^k) exactly when alpha^k = -1/2 in
+Z[alpha]/ell, so the sieve finds each prime's zeros by discrete
+logarithms, without streaming J_k mod ell for every k.
 """
 
 from cm7prime.prover import search

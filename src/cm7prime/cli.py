@@ -15,6 +15,7 @@ from . import jk_sequence, mont_curve, prover, quad_ring, refcheck, sieve
 from . import twist_tables as twists
 
 _DEFAULT_BENCH = "1025,2049,4097,8193"  # 2^m + 1 for m = 10..13
+_MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
 
 
 def _decimal(text: str) -> int:
@@ -29,6 +30,13 @@ def _positive_k(text: str) -> int:
     if k < 2:
         raise argparse.ArgumentTypeError("k must be >= 2")
     return k
+
+
+def _sieve_limit(text: str) -> int:
+    limit = _decimal(text)
+    if limit > _MAX_SIEVE_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIEVE_LIMIT}")
+    return limit
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -93,12 +101,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    entries = [t.strip() for t in args.kset.split(",")]
+    if not any(entries):
+        raise ValueError("--kset must name at least one k")
     try:
-        kset = [_decimal(t.strip()) for t in args.kset.split(",") if t]
+        kset = [_decimal(t) for t in entries]
     except ValueError:
         raise ValueError("--kset must be a comma-separated list of "
                          "integers") from None
-    if not kset or any(k < 2 for k in kset):
+    if any(k < 2 for k in kset):
         raise ValueError("--kset entries must be >= 2")
     print(f"{'k':>8}  {'step2_s':>10}  {'step7_s':>10}")
     timings: dict[int, float] = {}
@@ -264,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="sieve and test a range of k")
     p.add_argument("kmin", type=_positive_k)
     p.add_argument("kmax", type=_positive_k)
-    p.add_argument("--sieve-limit", type=_decimal, default=10000)
+    p.add_argument("--sieve-limit", type=_sieve_limit, default=10000)
     p.add_argument("--jobs", type=_decimal, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)

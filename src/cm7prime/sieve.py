@@ -20,9 +20,9 @@ Three engines find bit-identical zeros and counts:
   * "numpy": the recurrence stream with an array of all primes as the
     modulus, O(n) vector steps.
 
-"auto" picks "period", except that for n^2 < 30 L it picks "numpy" when
-numpy is installed: there the vector stream's n steps cost less than the
-discrete logs' fixed cost per prime.
+The default is "period" at every size.  "numpy", the package's one import
+of numpy, runs only when named: the benchmark's engine tour still times
+it, and it goes with that tour (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -273,8 +273,6 @@ def _engine_numpy(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]
     import numpy as np
 
     elim = bytearray(n + 1)
-    if not primes:
-        return elim, {}
     P = np.array(primes, dtype=np.int64)
     counts = np.zeros(len(P), dtype=np.int64)
     for k, residues in enumerate(_recurrence(n, P), start=1):
@@ -293,7 +291,7 @@ _ENGINES = {
 }
 
 
-def sieve_range(n: int, L: int, engine: str = "auto") -> SieveReport:
+def sieve_range(n: int, L: int, engine: str = "period") -> SieveReport:
     """Sieve [1, n] by all odd primes ell <= L other than 7.
 
     n must be >= 4.  L = 2 is allowed and eliminates nothing.  The guard
@@ -304,17 +302,6 @@ def sieve_range(n: int, L: int, engine: str = "auto") -> SieveReport:
         raise ValueError("n must be >= 4")
     if L < 2:
         raise ValueError("L must be >= 2")
-    if engine == "auto":
-        engine = "period"
-        # numpy's stream beat the discrete logs below n^2 = 45 L at
-        # L = 10^4 and below n^2 = 20 L at L = 10^5 (2-core Xeon, Python
-        # 3.11, numpy 2.4); 30 sits between
-        if n * n < 30 * L:
-            try:
-                import numpy  # noqa: F401
-                engine = "numpy"
-            except ImportError:
-                pass
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     primes = [p for p in iter_primes(L) if p not in (2, 7)]

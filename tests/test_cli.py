@@ -91,6 +91,12 @@ class TestSearch:
     def test_inverted_range_is_usage_error(self):
         assert run_cli("search", "5", "4").returncode == 2
 
+    def test_sieve_limit_is_bounded(self):
+        # rejected while parsing, before any sieve work
+        res = run_cli("search", "2", "30", "--sieve-limit", str(10**8 + 1))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "--sieve-limit: must be <= 100000000" in res.stderr
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"
         res = run_cli("search", "2", "30", "--out", str(out))
@@ -203,6 +209,14 @@ class TestBench:
         assert run_cli("bench", "--kset", "2,bad").returncode == 2
         assert run_cli("bench", "--kset", "").returncode == 2
         assert run_cli("bench", "--kset", "1").returncode == 2
+        # an empty entry is an error wherever it sits, spaced or not
+        for kset in ("2,", "2, ", ",33", "33,,65"):
+            res = run_cli("bench", "--kset", kset)
+            assert (res.returncode, res.stdout) == (2, ""), kset
+        for kset in (",", " , ", " "):
+            res = run_cli("bench", "--kset", kset)
+            assert (res.returncode, res.stdout) == (2, ""), kset
+            assert "must name at least one k" in res.stderr, kset
 
 
 class TestParser:

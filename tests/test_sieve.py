@@ -1,14 +1,17 @@
 """Sieving the index range by small primes, with three interchangeable engines."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from cm7prime import prover
 from cm7prime.jk_sequence import jk_closed, jk_mod_stream, trace_mod
-from cm7prime.prover import search
 from cm7prime.sieve import (_ENGINES, _engine_python, iter_primes, sieve_range,
                             survivors)
 
@@ -119,7 +122,7 @@ class TestSoundness:
 class TestEngines:
     @pytest.mark.parametrize("n,limit", [(50, 3), (120, 50), (400, 500),
                                          (1000, 37), (4, 10**3), (12, 10**4),
-                                         (50, 11)])
+                                         (50, 11), (30, 2)])
     def test_reports_are_identical(self, n, limit):
         py = sieve_range(n, limit, engine="python")
         pe = sieve_range(n, limit, engine="period")
@@ -141,11 +144,10 @@ class TestEngines:
     def test_auto_resolves(self):
         assert sieve_range(50, 30) == sieve_range(50, 30, engine="python")
 
-    @pytest.mark.parametrize("n,limit,picked", [(400, 10**4, "numpy"),
-                                                (1000, 10**4, "period")])
-    def test_auto_on_both_sides_of_the_crossover(self, n, limit, picked,
-                                                 monkeypatch):
-        pytest.importorskip("numpy")
+    @pytest.mark.parametrize("n,limit", [(400, 10**4), (1000, 10**4)])
+    def test_default_is_period_on_both_old_sides(self, n, limit, monkeypatch):
+        # (400, 10^4) and (1000, 10^4) sat on either side of a former
+        # n^2 < 30 L switch to numpy; the default now has no special case
         calls = []
 
         def spy(name, engine):
@@ -154,31 +156,32 @@ class TestEngines:
         for name, engine in list(_ENGINES.items()):
             monkeypatch.setitem(_ENGINES, name, spy(name, engine))
         assert sieve_range(n, limit) == sieve_range(n, limit, engine="python")
-        assert calls == [picked, "python"]
+        assert calls == ["period", "python"]
 
-    def test_numpy_is_optional(self):
-        # with numpy unimportable, a fresh interpreter still sieves ("auto"
-        # is the discrete-log engine on both sides of the crossover) and
-        # searches with the same rows
+    def test_no_default_path_imports_numpy(self, monkeypatch):
+        # a fresh interpreter that could import numpy sieves and searches
+        # on the defaults, gets the python engine's report and rows, and
+        # never loads numpy
         code = (
             "import sys\n"
-            "sys.modules['numpy'] = None\n"
             "import cm7prime\n"
-            "print(repr(cm7prime.sieve_range(200, 500)))\n"
-            "print(repr(cm7prime.sieve_range(1000, 10**4)))\n"
+            "print(repr(cm7prime.sieve_range(400, 10**4)))\n"
             "print(repr([(k, v, s.multiplications, s.squarings, s.additions,"
-            " s.gcd_calls) for k, v, s in cm7prime.search(2, 100, 1000)]))\n")
+            " s.gcd_calls) for k, v, s in cm7prime.search(2, 400, 10**4)]))\n"
+            "print('numpy' in sys.modules)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
+        monkeypatch.setattr(prover, "sieve_range",
+                            partial(sieve_range, engine="python"))
         rows = [(k, v, s.multiplications, s.squarings, s.additions,
-                 s.gcd_calls) for k, v, s in search(2, 100, 1000)]
+                 s.gcd_calls) for k, v, s in prover.search(2, 400, 10**4)]
         assert res.stdout.splitlines() == [
-            repr(sieve_range(200, 500, engine="python")),
-            repr(sieve_range(1000, 10**4, engine="python")), repr(rows)]
+            repr(sieve_range(400, 10**4, engine="python")), repr(rows),
+            "False"]
 
 
 class TestDiscreteLogEngine:
@@ -205,6 +208,22 @@ class TestDiscreteLogEngine:
         pytest.importorskip("numpy")
         assert (sieve_range(3000, 10**5, engine="period")
                 == sieve_range(3000, 10**5, engine="numpy"))
+
+    @pytest.mark.parametrize("n,limit,digest", [
+        (3000, 10**5,
+         "21057dedafed7c3624f1415db9dbdb573573f161b04d571be164b38ef0324aa8"),
+        (20000, 3 * 10**5,
+         "bbd0bc36f6059d909687e38f3b0b45dcff07891e7d193a884327d5ee7680bdf7"),
+    ])
+    def test_default_matches_frozen_digest(self, n, limit, digest):
+        # hashed as perfbench's sieve_digest does; every engine gave these
+        # values, the second is perfbench/reference.json's sieve-deep entry
+        report = sieve_range(n, limit)
+        h = hashlib.sha256(report.survivor_mask)
+        h.update(json.dumps([report.n, report.limit,
+                             sorted(report.per_prime.items()),
+                             list(report.small_j_list)]).encode())
+        assert h.hexdigest() == digest
 
 
 class TestSurvivorsHelper:
