@@ -9,6 +9,7 @@ import dataclasses
 
 from cm7prime.certificate import (build_certificate, parse, serialize,
                                   verify_certificate)
+from cm7prime.prover import test_jk
 
 cert = build_certificate(17)
 text = serialize(cert)
@@ -39,6 +40,5 @@ for label, bad in [
     print(f"  {label:<38} -> INVALID:{stats.reason}")
 
 print()
-composite = build_certificate(8)
-print(f"build_certificate(8) -> no certificate, verdict"
-      f" {composite.label()} (J_8 = 963 = 9*107)")
+print(f"build_certificate(8) -> {build_certificate(8)}, no certificate;"
+      f" test_jk(8) says {test_jk(8)[0].label()} (J_8 = 963 = 9*107)")

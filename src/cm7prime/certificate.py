@@ -7,7 +7,8 @@ primality: were N composite, it would have a prime factor p <= sqrt(N),
 and the curve over F_p cannot hold a point of order exceeding
 (p^(1/2) + 1)^2 <= (N^(1/4) + 1)^2 < 2^r.  So a verifier only needs
 r = k/2 + O(1) doublings (about 2.5k multiplications), half the cost
-of the full run, plus O(1) consistency checks.
+of the full run, plus O(1) consistency checks.  A composite J_k has
+no such point, so build_certificate returns None for it.
 
 Acceptance does not depend on how d was found.  The verifier checks
 d^2 = -7 (mod N); that makes the curve constants well defined, and the
@@ -35,7 +36,7 @@ from .jk_sequence import forced_composite, jk_closed
 from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
                          XZPoint, double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomery_constants, projective_rhs)
-from .prover import Verdict, _curve_steps, test_jk
+from .prover import _curve_steps
 from .quad_ring import jk_element
 from .twist_tables import TWISTS, jacobi_symbol
 
@@ -117,21 +118,20 @@ def _cm_sqrt_minus7(k: int, ctx: ModulusCtx) -> int:
     return d if jacobi_symbol(d, n) == want else n - d
 
 
-def build_certificate(k: int) -> Certificate | Verdict:
-    """Certificate for J_k, or the composite Verdict when J_k is not prime.
+def build_certificate(k: int) -> Certificate | None:
+    """Certificate for J_k, or None when J_k is composite.
 
     d comes from the CM structure (_cm_sqrt_minus7), not from step 2's
     exponentiation, then steps 4-8 run once with the iterate s = k + 1 - r
     kept.  Certifying a prime costs that chain plus one exponentiation,
-    the y recovery.  When the chain does not say Prime the verdict is
-    test_jk(k)'s, so a composite J_k that is not forced costs a chain
-    plus a full test_jk; that trade keeps every composite verdict the
-    one test_jk gives.
+    the y recovery.  A forced congruence, a non-invertible v or a chain
+    that does not say Prime returns None: a composite has no certificate,
+    and test_jk says why it is composite.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if forced_composite(k):
-        return test_jk(k)[0]
+        return None
     n = jk_closed(k).value
     r = minimal_doubling_exponent(n)
     s = k + 1 - r
@@ -139,10 +139,10 @@ def build_certificate(k: int) -> Certificate | Verdict:
     try:
         d = _cm_sqrt_minus7(k, ctx)
     except NonInvertibleError:
-        return test_jk(k)[0]
+        return None
     res = _curve_steps(k, ctx, d, time.perf_counter(), keep_at=s)
     if not res.verdict.is_prime:
-        return test_jk(k)[0]
+        return None
     curve, q = res.curve, res.kept
     assert curve is not None and q is not None
     if s == 0:
@@ -152,10 +152,8 @@ def build_certificate(k: int) -> Certificate | Verdict:
         y_sq = ctx.mul(projective_rhs(q.x, q.z, curve.C, ctx),
                        ctx.inv(ctx.mul(curve.B, q.z)))
         y = ctx.pow_mod(y_sq, (n + 1) // 4)
-        if ctx.sqr(y) != y_sq:
-            # impossible once the prover said Prime
-            raise ArithmeticError(f"y recovery failed at k={k}")
     if not _on_curve_projective(q.x, y, q.z, curve.B, curve.C, ctx):
+        # impossible once the prover said Prime
         raise ArithmeticError(f"certificate point off the curve at k={k}")
     return Certificate(k, n, res.twist.a, curve.d, r, (q.x, y, q.z))
 
@@ -288,10 +286,10 @@ def parse(text: str) -> Certificate:
             raise CertificateFormatError(f"expected {prefix}..., got {line!r}")
         max_bits = None if name in ("k", "a", "r") else values["k"] + 3
         values[name] = _decimal(name, line[len(prefix):], max_bits)
+        if name in ("k", "N", "r") and values[name] < 1:  # before k bounds
+            raise CertificateFormatError(f"{name} must be positive")
     if values["a"] not in TWISTS:
         raise CertificateFormatError(f"a={values['a']} is not a known twist")
-    if values["k"] < 1 or values["N"] < 1 or values["r"] < 1:
-        raise CertificateFormatError("k, N, r must be positive")
     for name in ("d", "x", "y", "z"):
         if not 0 <= values[name] < values["N"]:
             raise CertificateFormatError(f"{name} out of range [0, N-1]")

@@ -16,6 +16,7 @@ from . import twist_tables as twists
 
 _DEFAULT_BENCH = "1025,2049,4097,8193"  # 2^m + 1 for m = 10..13
 _MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
+_MAX_K = 2**24  # jk_closed squares alpha^(2^i) up to k's top bit
 
 
 def _decimal(text: str) -> int:
@@ -29,6 +30,8 @@ def _positive_k(text: str) -> int:
     k = _decimal(text)
     if k < 2:
         raise argparse.ArgumentTypeError("k must be >= 2")
+    if k > _MAX_K:
+        raise argparse.ArgumentTypeError(f"k must be <= {_MAX_K}")
     return k
 
 
@@ -79,7 +82,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     built = cert_mod.build_certificate(args.k)
-    if isinstance(built, prover.Verdict):
+    if built is None:
         print("no certificate: composite")
         return 0
     return _emit(cert_mod.serialize(built), args.out)
@@ -111,6 +114,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          "integers") from None
     if any(k < 2 for k in kset):
         raise ValueError("--kset entries must be >= 2")
+    if any(k > _MAX_K for k in kset):
+        raise ValueError(f"--kset entries must be <= {_MAX_K}")
     print(f"{'k':>8}  {'step2_s':>10}  {'step7_s':>10}")
     timings: dict[int, float] = {}
     for k in kset:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,6 +188,7 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     if workers <= 1:
         runs = map(test_jk, ks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(test_jk, ks, chunksize=8))
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]

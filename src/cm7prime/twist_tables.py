@@ -45,11 +45,6 @@ _ROWS = (
 )
 
 
-def curve_coefficients(a: int) -> tuple[int, int]:
-    """(A4, A6) of E_a: y^2 = x^3 + A4 x + A6."""
-    return (-35 * a * a, -98 * a * a * a)
-
-
 # S_a membership by k mod m.
 S_TABLE: dict[int, tuple[int, frozenset[int]]] = {
     -1: (3, frozenset({0, 2})),

@@ -118,12 +118,12 @@ class TestBuild:
         c18 = build_certificate(18)
         assert (c18.r, c18.s, c18.n) == (11, 8, 1046579)
 
-    def test_composite_returns_verdict(self):
-        v = build_certificate(8)
-        assert not isinstance(v, Certificate)
-        assert v.kind is VerdictKind.FORCED_CONGRUENCE
-        v = build_certificate(11)
-        assert v.kind is VerdictKind.NO_SQRT_MINUS7
+    def test_composite_returns_none(self):
+        assert forced_composite(8)
+        assert build_certificate(8) is None
+        # J_11 fails step 3, but the CM root exists and the chain runs
+        assert prove_jk(11)[0].kind is VerdictKind.NO_SQRT_MINUS7
+        assert build_certificate(11) is None
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
@@ -189,11 +189,10 @@ class TestCMRoot:
             if verdict.is_prime:
                 assert isinstance(built, Certificate), k
             else:
-                assert built == verdict, k
+                assert built is None, k
 
-    @pytest.mark.parametrize("k", [17, 18, 28])
-    def test_one_exponentiation_per_prime(self, k, monkeypatch):
-        # only the y recovery may exponentiate; step 2's power is gone
+    @staticmethod
+    def _pow_mod_calls(monkeypatch):
         calls = []
         pow_mod = ModulusCtx.pow_mod
 
@@ -202,9 +201,21 @@ class TestCMRoot:
             return pow_mod(self, base, exponent)
 
         monkeypatch.setattr(ModulusCtx, "pow_mod", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [17, 18, 28])
+    def test_one_exponentiation_per_prime(self, k, monkeypatch):
+        # only the y recovery may exponentiate; step 2's power is gone
+        calls = self._pow_mod_calls(monkeypatch)
         cert = build_certificate(k)
         assert isinstance(cert, Certificate) and cert.s > 0
         assert calls == [(cert.n + 1) // 4]
+
+    def test_no_exponentiation_for_a_composite(self, monkeypatch):
+        # J_11 runs the chain, which says composite; no test_jk follows
+        calls = self._pow_mod_calls(monkeypatch)
+        assert build_certificate(11) is None
+        assert calls == []
 
 
 class TestSerialization:
@@ -231,12 +242,19 @@ class TestSerialization:
         (K2_TEXT.replace("r=3", "r=three"), "non-decimal"),
         (K2_TEXT.replace("a=-1", "a=-2"), "twist"),
         (K2_TEXT.replace("N=11", "N=-11"), "positive"),
+        (K2_TEXT.replace("r=3", "r=0"), "r must be positive"),
+        (K2_TEXT.replace("k=2", "k=-5"), "k must be positive"),
+        (K2_TEXT.replace("k=2", "k=0"), "k must be positive"),
         (K2_TEXT.replace("x=3", "x=11"), "out of range"),
         (K2_TEXT.replace("d=2", "d=-1"), "out of range"),
     ])
     def test_malformed_inputs(self, text, fragment):
         with pytest.raises(CertificateFormatError, match=fragment):
             parse(text)
+
+    def test_k_one_parses_and_fails_verification(self):
+        cert = parse(K2_TEXT.replace("k=2", "k=1"))
+        assert verify_certificate(cert)[1].reason == "k-range"
 
     def test_unicode_digits_rejected(self):
         with pytest.raises(CertificateFormatError):

@@ -49,6 +49,17 @@ class TestTest:
     def test_small_k_is_usage_error(self):
         assert run_cli("test", "1").returncode == 2
 
+    def test_k_above_the_bound_is_usage_error(self):
+        # rejected while parsing: the closed form at k would not fit memory
+        res = run_cli("test", str(2**24 + 1))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "k must be <= 16777216" in res.stderr
+
+    def test_k_at_the_bound_parses(self):
+        # parsed only; a run at this k would never finish
+        args = cli._build_parser().parse_args(["test", str(2**24)])
+        assert args.k == 2**24
+
     def test_unknown_mode_rejected_by_parser(self):
         # step 8 has one rule, so test takes no mode option at all
         assert run_cli("test", "17", "--mode", "strong").returncode == 2
@@ -217,6 +228,11 @@ class TestBench:
             res = run_cli("bench", "--kset", kset)
             assert (res.returncode, res.stdout) == (2, ""), kset
             assert "must name at least one k" in res.stderr, kset
+
+    def test_kset_entry_above_the_bound_is_usage_error(self):
+        res = run_cli("bench", "--kset", f"33,{2**24 + 1}")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "--kset entries must be <= 16777216" in res.stderr
 
 
 class TestParser:

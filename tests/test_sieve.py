@@ -141,7 +141,7 @@ class TestEngines:
         assert report.per_prime == {3: 1, 5: 1, 11: 3, 107: 1, 757: 1, 1481: 1}
         assert report.small_j_list == tuple(range(1, 12))
 
-    def test_auto_resolves(self):
+    def test_default_equals_python_reference(self):
         assert sieve_range(50, 30) == sieve_range(50, 30, engine="python")
 
     @pytest.mark.parametrize("n,limit", [(400, 10**4), (1000, 10**4)])
@@ -158,17 +158,18 @@ class TestEngines:
         assert sieve_range(n, limit) == sieve_range(n, limit, engine="python")
         assert calls == ["period", "python"]
 
-    def test_no_default_path_imports_numpy(self, monkeypatch):
+    def test_no_default_path_imports_numpy_or_the_pool(self, monkeypatch):
         # a fresh interpreter that could import numpy sieves and searches
         # on the defaults, gets the python engine's report and rows, and
-        # never loads numpy
+        # never loads numpy or the process pool
         code = (
             "import sys\n"
             "import cm7prime\n"
             "print(repr(cm7prime.sieve_range(400, 10**4)))\n"
             "print(repr([(k, v, s.multiplications, s.squarings, s.additions,"
             " s.gcd_calls) for k, v, s in cm7prime.search(2, 400, 10**4)]))\n"
-            "print('numpy' in sys.modules)\n")
+            "print('numpy' in sys.modules)\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -181,7 +182,7 @@ class TestEngines:
                  s.gcd_calls) for k, v, s in prover.search(2, 400, 10**4)]
         assert res.stdout.splitlines() == [
             repr(sieve_range(400, 10**4, engine="python")), repr(rows),
-            "False"]
+            "False", "False"]
 
 
 class TestDiscreteLogEngine:

@@ -10,9 +10,8 @@ from cm7prime.jk_sequence import forced_composite, jk_closed
 from cm7prime.refcheck import (AffinePoint, alpha_endomorphism,
                                enumerate_points, weier_scalar_mult)
 from cm7prime.twist_tables import (DELTAS, S_TABLE, T_TABLE, TWISTS,
-                                   chi_sqrt_minus7, curve_coefficients,
-                                   jacobi_symbol, s_membership, select_twist,
-                                   t_membership)
+                                   chi_sqrt_minus7, jacobi_symbol,
+                                   s_membership, select_twist, t_membership)
 
 
 def _primes_upto(limit):
@@ -82,14 +81,9 @@ class TestSelectTwist:
             if choice.a in seen:
                 continue
             seen.add(choice.a)
-            x0, y0 = choice.point
-            c_a, c_b = curve_coefficients(choice.a)
-            assert y0 * y0 == x0**3 + c_a * x0 + c_b
+            (x0, y0), a = choice.point, choice.a
+            assert y0 * y0 == x0**3 - 35 * a * a * x0 - 98 * a**3
         assert seen == set(TWISTS)
-
-    def test_curve_coefficients_formula(self):
-        for a in TWISTS:
-            assert curve_coefficients(a) == (-35 * a * a, -98 * a**3)
 
 
 class TestJacobiSymbol:
