@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import certificate as cert_mod
@@ -42,6 +43,16 @@ def _sieve_limit(text: str) -> int:
     return limit
 
 
+def _max_certificate_chars() -> int:
+    """Length of the longest JKCERT 1 text with k <= _MAX_K.
+
+    N, d, x, y and z have at most k + 3 bits, so ceil((k+3) log10 2)
+    digits each; 64 more characters hold the version line, the k, a and
+    r lines and the five field names.
+    """
+    return 5 * math.ceil((_MAX_K + 3) * math.log10(2)) + 64
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write text to the --out file, or to stdout without one."""
     if not out:
@@ -64,7 +75,16 @@ def cmd_test(args: argparse.Namespace) -> int:
         print(json.dumps({"k": args.k, "verdict": verdict.label(),
                           "digits": digits,
                           "mults": stats.mults_plus_squarings,
-                          "ms": round(ms, 3)}))
+                          "ms": round(ms, 3),
+                          "schema": 1,
+                          "step_reached": stats.step_reached,
+                          "early_exit": stats.early_exit,
+                          "step2_s": round(stats.step2_seconds, 6),
+                          "step7_s": round(stats.step7_seconds, 6),
+                          "multiplications": stats.multiplications,
+                          "squarings": stats.squarings,
+                          "additions": stats.additions,
+                          "gcd_calls": stats.gcd_calls}))
     else:
         print(f"k={args.k} verdict={verdict.label()} digits={digits} "
               f"mults={stats.mults_plus_squarings} ms={ms:.2f}")
@@ -89,9 +109,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    limit = _max_certificate_chars()
     try:
         with open(args.file, "r", encoding="utf-8", newline="") as fh:
-            cert = cert_mod.parse(fh.read())
+            text = fh.read(limit + 1)  # the file is untrusted: bound it
+        if len(text) > limit:
+            raise cert_mod.CertificateFormatError(
+                f"longer than {limit} characters, the most a certificate "
+                f"with k <= {_MAX_K} takes")
+        cert = cert_mod.parse(text)
     except OSError as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
         return 3

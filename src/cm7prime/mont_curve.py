@@ -19,12 +19,30 @@ the same arithmetic on local ints and adds count * (2, 3, 4) in one go:
 that is exact because a step's operation sequence is straight-line and
 never depends on the values (z = 0 included), and a test pins its
 points and counter deltas to a loop of xz_double.
+
+Every product is reduced by ModulusCtx._reduce.  J_k = 2^e + c with
+e = k + 2 and |c| about 2^(e/2), and 2^e = -c (mod N), so a product t
+reduces with two half-size products by c:
+
+    t = L - Pl 2^h - (H0 - Ph) c   (mod N),   h = e // 2,
+
+where t = H 2^e + L, H = H1 2^h + H0 and H1 c = Ph 2^(e-h) + Pl, and
+then one % N with a quotient of a few bits.  Below _FOLD_MIN_BITS bits
+(e = 850, measured) one builtin % is faster than the fold's Python-level
+steps and is used instead; it is also the reference for any other
+modulus.  Which path reduces never changes a value or a count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+# Below 2^850 one builtin % reduces faster than the fold, whose eight
+# further big-int steps each cost an interpreter dispatch; the measured
+# crossover lies at e = 820-860 (README, Performance notes).
+_FOLD_MIN_BITS = 850
 
 
 class NonInvertibleError(ArithmeticError):
@@ -48,8 +66,9 @@ class ModulusCtx:
     Every J_k is N = 2^e + c with e = k + 2 and |c| < 2^(e/2 + 2).  The
     constructor looks for that form, taking e = bitlen(N) - 1 or bitlen(N),
     whichever gives the smaller |c| (J_k has k + 2 or k + 3 bits with the
-    sign of c).  For such N a product is reduced by folding at 2^e, since
-    2^e = -c (mod N); any other N is reduced by plain %, the reference.
+    sign of c).  For such N with e >= _FOLD_MIN_BITS a product is reduced
+    by the split fold of _reduce, since 2^e = -c (mod N); any other N, and
+    every N below that size, is reduced by plain %, the reference.
     """
 
     __slots__ = ("N", "multiplications", "squarings", "additions", "inversions",
@@ -63,8 +82,12 @@ class ModulusCtx:
         if N - (1 << (e - 1)) < (1 << e) - N:
             e -= 1
         c = N - (1 << e)
-        # (e, 2^e - 1, c) when |c| < 2^(e/2 + 2), else None
-        self._fold = (e, (1 << e) - 1, c) if c * c < 1 << (e + 4) else None
+        eh = e + e // 2
+        # (e, 2^e - 1, c, e + h, 2^(e+h) - 1, h) with h = e // 2 when
+        # |c| < 2^(e/2 + 2) and e >= _FOLD_MIN_BITS, else None
+        self._fold = ((e, (1 << e) - 1, c, eh, (1 << eh) - 1, e // 2)
+                      if e >= _FOLD_MIN_BITS and c * c < 1 << (e + 4)
+                      else None)
         self.multiplications = 0
         self.squarings = 0
         self.additions = 0
@@ -73,18 +96,35 @@ class ModulusCtx:
     def _reduce(self, t: int) -> int:
         """t mod N in [0, N-1] for any int t; fast for 0 <= t < 4N^2.
 
-        Each fold t -> (t mod 2^e) - (t >> e) c keeps t mod N (Python's
-        floor >> and & make that exact for negative t too).  From
-        |t| < 4N^2 two folds leave |t| < 2^(e+9), so the closing % N
-        divides by N with a quotient of a few bits.
+        Write t = H1 2^(e+h) + H0 2^e + L with h = e // 2, L < 2^e and
+        H0 < 2^h, and H1 c = Ph 2^(e-h) + Pl with Pl < 2^(e-h).  Since
+        2^e = -c (mod N),
+
+            t = L - Pl 2^h - (H0 - Ph) c   (mod N):
+
+        two half-size products, H1 c and (H0 - Ph) c, where two folds at
+        2^e cost three (the first is e by e/2 bits).  The code forms the
+        same products in fewer Python steps: 2^(e+h) = -c 2^h folds
+        H1 = t >> (e+h) into t1 = (t mod 2^(e+h)) - H1 c 2^h
+        = L - Pl 2^h + (H0 - Ph) 2^e, and one fold at 2^e then
+        multiplies t1 >> e (H0 - Ph, or one less after a borrow) by c.
+        Floor >> and & split negative ints exactly too, so every t is
+        reduced exactly.
+
+        Size, for 0 <= t < 4N^2 and e >= 16: 4N^2 < 2^(2e+2) (1 + 2^(2-e/2))^2
+        gives H1 < 1.04 * 2^(e-h+2), so |t1| < 2^(e+h) + H1 |c| 2^h, which
+        is below 18 * 2^(3e/2) for |c| < 2^(e/2+2) and below 10 * 2^(3e/2)
+        for J_k, where |c| = |2 t_k + 1| <= 2^(e/2+1) + 1.  Then
+        |t1 >> e| <= 18 * 2^(e/2) (10 for J_k), and the second fold leaves
+        |t| < 2^e + 18 * 2^(e/2) |c| < 2^(e+7) (2^(e+5) for J_k), so the
+        closing % N has a quotient of a few bits.
         """
         fold = self._fold
         if fold is None:
             return t % self.N
-        e, mask, c = fold
-        t = (t & mask) - (t >> e) * c
-        t = (t & mask) - (t >> e) * c
-        return t % self.N
+        e, mask, c, eh, eh_mask, h = fold
+        t = (t & eh_mask) - ((t >> eh) * c << h)
+        return ((t & mask) - (t >> e) * c) % self.N
 
     def mul(self, a: int, b: int) -> int:
         self.multiplications += 1
@@ -122,38 +162,51 @@ class ModulusCtx:
         pipeline exponent (N+1)/4 with N = J_k this costs k + o(k) counted
         multiplications plus squarings: about bitlen squarings and
         bitlen/(width+1) + 2^(width-1) multiplications.  Hand-rolled on
-        purpose: the builtin pow cannot report counts.
+        purpose: the builtin pow cannot report counts.  Like double_chain,
+        one loop over local ints reads the exponent's bits from bin(),
+        reduces each product by _reduce (the fold from _FOLD_MIN_BITS bits
+        on, plain % below) and adds its squarings and multiplications to
+        the counters at the end; the counts are those of the same ladder
+        done with sqr and mul.
         """
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        base %= self.N
+        n = self.N
+        base %= n
         if exponent == 0:
-            return 1 % self.N
-        n_bits = exponent.bit_length()
+            return 1 % n
+        red = self._reduce
+        bits = bin(exponent)[2:]  # top bit first; bits[0] == "1"
+        n_bits = len(bits)
         width = max(2, (n_bits.bit_length() - 1) // 2)
         # odd powers base, base^3, ..., base^(2^width - 1)
-        base_sq = self.sqr(base)
+        base_sq = red(base * base)
         odd_pows = [base]
         for _ in range((1 << (width - 1)) - 1):
-            odd_pows.append(self.mul(odd_pows[-1], base_sq))
-        acc: int | None = None
-        i = n_bits - 1
-        while i >= 0:
-            if not (exponent >> i) & 1:
-                acc = self.sqr(acc)  # acc is set: the top bit is 1
-                i -= 1
+            odd_pows.append(red(odd_pows[-1] * base_sq))
+        squarings, mults = 1, len(odd_pows) - 1
+        i = 0
+        while i < n_bits:
+            if bits[i] == "0":
+                acc = red(acc * acc)  # acc is set: the top bit is 1
+                squarings += 1
+                i += 1
                 continue
-            j = max(i - width + 1, 0)
-            while not (exponent >> j) & 1:
-                j += 1
-            window = (exponent >> j) & ((1 << (i - j + 1)) - 1)
-            if acc is None:
-                acc = odd_pows[window >> 1]
+            j = min(i + width, n_bits)  # the window is bits[i:j], odd
+            while bits[j - 1] == "0":
+                j -= 1
+            odd = odd_pows[int(bits[i:j], 2) >> 1]
+            if i == 0:
+                acc = odd
             else:
-                for _ in range(i - j + 1):
-                    acc = self.sqr(acc)
-                acc = self.mul(acc, odd_pows[window >> 1])
-            i = j - 1
+                for _ in range(j - i):
+                    acc = red(acc * acc)
+                squarings += j - i
+                acc = red(acc * odd)
+                mults += 1
+            i = j
+        self.squarings += squarings
+        self.multiplications += mults
         return acc
 
     def op_counts(self) -> tuple[int, int, int, int]:

@@ -1,9 +1,11 @@
 """The command line interface, exercised through real subprocesses."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,16 @@ from cm7prime import cli, prover
 from cm7prime.certificate import build_certificate, serialize
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "cm7prime.cli", *args],
                           capture_output=True, text=True, timeout=300,
-                          **kwargs)
+                          env=env, **kwargs)
 
 
 class TestTest:
@@ -39,12 +47,27 @@ class TestTest:
     def test_json_output(self):
         res = run_cli("test", "17", "--json")
         assert res.returncode == 0
+        # the first five keys keep their bytes; the rest are appended
+        assert res.stdout.startswith('{"k": 17, "verdict": "Prime", '
+                                     '"digits": 6, "mults": 121, "ms": ')
         doc = json.loads(res.stdout)
         assert doc["k"] == 17
         assert doc["verdict"] == "Prime"
         assert doc["digits"] == 6
         assert isinstance(doc["mults"], int) and doc["mults"] > 0
         assert isinstance(doc["ms"], float)
+        assert doc["schema"] == 1
+        assert (doc["step_reached"], doc["early_exit"]) == (8, False)
+        assert doc["step2_s"] > 0 and doc["step7_s"] > 0
+        assert (doc["multiplications"], doc["squarings"], doc["additions"],
+                doc["gcd_calls"]) == (68, 53, 76, 4)
+        res = run_cli("test", "11", "--json")
+        doc = json.loads(res.stdout)
+        assert doc["verdict"] == "Composite:NoSqrtMinus7"
+        assert (doc["step_reached"], doc["early_exit"]) == (3, False)
+        assert doc["step2_s"] > 0 and doc["step7_s"] == 0
+        assert doc["multiplications"] + doc["squarings"] == doc["mults"]
+        assert doc["gcd_calls"] == 0
 
     def test_small_k_is_usage_error(self):
         assert run_cli("test", "1").returncode == 2
@@ -180,6 +203,37 @@ class TestCertifyVerify:
         res = run_cli("verify", str(tmp_path / "nope.txt"))
         assert res.returncode == 3
         assert "cannot read" in res.stderr
+
+    def test_over_long_file_is_refused_before_parsing(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MAX_K", 17)
+        limit = cli._max_certificate_chars()  # 5 * 7 digits + 64
+        assert limit == 99
+        sizes = []  # every read the command asks for
+
+        def spy_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            read = fh.read
+            fh.read = lambda size=-1: sizes.append(size) or read(size)
+            return fh
+
+        monkeypatch.setattr(cli, "open", spy_open, raising=False)
+        path = tmp_path / "cert.txt"
+        path.write_text(serialize(build_certificate(17)))  # k = 17 fits
+        assert cli.main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "VALID\n"
+        path.write_text("x" * (limit - 1) + "\n")  # read whole, then parsed
+        assert cli.main(["verify", str(path)]) == 3
+        assert "malformed certificate: expected 9 lines" in \
+            capsys.readouterr().err
+        path.write_text("x" * limit + "\n")
+        assert cli.main(["verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed certificate: longer than "
+                                "99 characters, the most a certificate with "
+                                "k <= 17 takes\n")
+        assert sizes == [limit + 1] * 3
 
     def test_garbage_file_is_parse_error(self, tmp_path):
         path = tmp_path / "garbage.txt"

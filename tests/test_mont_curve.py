@@ -1,16 +1,18 @@
 """Counted modular arithmetic and x-only doubling."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm7prime import mont_curve
 from cm7prime.jk_sequence import jk_closed
-from cm7prime.mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError,
-                                 XZPoint, double_chain, is_strongly_nonzero,
-                                 is_zero_mod, montgomerize, sqrt_minus7,
-                                 xz_double)
+from cm7prime.mont_curve import (_FOLD_MIN_BITS, ModulusCtx, MontCurveCtx,
+                                 NonInvertibleError, XZPoint, double_chain,
+                                 is_strongly_nonzero, is_zero_mod,
+                                 montgomerize, sqrt_minus7, xz_double)
 from cm7prime.refcheck import AffinePoint, weier_scalar_mult
 from cm7prime.twist_tables import jacobi_symbol, select_twist
 
@@ -82,8 +84,10 @@ class TestModulusCtx:
     @settings(max_examples=300)
     def test_special_form_folds_and_matches_builtin(self, form, a, b, t):
         n, e, c = form
-        ctx = ModulusCtx(n)
-        assert ctx._fold == (e, (1 << e) - 1, c)
+        with mock.patch.object(mont_curve, "_FOLD_MIN_BITS", 0):
+            ctx = ModulusCtx(n)  # the fold at every size
+        h = e // 2
+        assert ctx._fold == (e, (1 << e) - 1, c, e + h, (1 << (e + h)) - 1, h)
         a, b = a % n, b % n
         for x, y in ((a, b), (0, b), (1, b), (n - 1, b), (n - 1, n - 1)):
             assert ctx.mul(x, y) == x * y % n
@@ -92,21 +96,27 @@ class TestModulusCtx:
         for u in (t, -t, t * n, 4 * n * n - 1, -4 * n * n + 1):
             assert ctx._reduce(u) == u % n
 
-    @pytest.mark.parametrize("ks", [range(2, 601), (3779, 16385, 32769)],
-                             ids=["2-600", "large"])
+    @pytest.mark.parametrize(
+        "ks", [[*range(2, 601), _FOLD_MIN_BITS - 3, _FOLD_MIN_BITS - 2],
+               (3779, 16385, 32769)],
+        ids=["2-600", "large"])
     def test_jk_moduli_fold_at_k_plus_2(self, ks):
         rng = random.Random(5)
         for k in ks:
             n = jk_closed(k).value
             ctx = ModulusCtx(n)
-            if k >= 4:  # J_2 = 11 = 2^3 + 3 and J_3 = 23 = 2^4 + 7 are tiny
+            if k + 2 >= _FOLD_MIN_BITS:
                 assert ctx._fold[0] == k + 2, k
+            else:  # below the crossover, J_2 = 2^3 + 3 and J_3 = 2^4 + 7 too
+                assert ctx._fold is None, k
             pairs = [(0, 0), (0, n - 1), (1, n - 1), (n - 1, 1),
                      (n - 1, n - 1)]
             pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
             for a, b in pairs:
                 assert ctx.mul(a, b) == a * b % n, k
                 assert ctx.sqr(a) == a * a % n, k
+            for u in (4 * n * n - 1, -4 * n * n + 1):
+                assert ctx._reduce(u) == u % n, k
 
     def test_general_modulus_uses_plain_remainder(self):
         rng = random.Random(1024)
@@ -177,13 +187,17 @@ class TestModulusCtx:
 
     def test_pow_mod_cost_stays_near_exponent_bitlength(self):
         # the windowed ladder must realize bitlen + o(bitlen) operations,
-        # which keeps the whole pipeline's square-root step within budget
-        for k in (500, 1000, 2000, 4099):
+        # which keeps the whole pipeline's square-root step within budget;
+        # (M, S) are pinned, on both sides of the fold's crossover
+        pinned = {500: (58, 501), 1000: (231, 997), 2000: (182, 2001),
+                  4099: (324, 4100)}
+        for k, counts in pinned.items():
             n = jk_closed(k).value
             ctx = ModulusCtx(n)
             exponent = (n + 1) // 4
-            ctx.pow_mod(7, exponent)
+            assert ctx.pow_mod(7, exponent) == pow(7, exponent, n), k
             m, s, _, _ = ctx.op_counts()
+            assert (m, s) == counts, k
             assert m + s <= 1.3 * exponent.bit_length() + 64, k
 
 
