@@ -47,6 +47,9 @@ _CANONICAL = re.compile(r"0|-?[1-9][0-9]*")  # no +, leading zeros or -0; ASCII
 # sys.get_int_max_str_digits() (4300 by default, never below 640)
 _CHUNK = 600
 _BASE = 10 ** _CHUNK
+# k, a and r: under the digit test of read_decimal, exactly the values of
+# at most 4300 digits, what CPython's default int<->str limit admits
+_SHORT_BITS = 14284
 
 
 class CertificateFormatError(ValueError):
@@ -221,7 +224,9 @@ def decimal_digits(n: int) -> int:
 
 
 def _to_decimal(n: int) -> str:
-    """str(n), converted _CHUNK digits at a time (n below _BASE is direct)."""
+    """str(n), converted _CHUNK digits at a time (|n| below _BASE is direct)."""
+    if n < 0:
+        return "-" + _to_decimal(-n)
     parts = []
     while n >= _BASE:
         n, low = divmod(n, _BASE)
@@ -230,32 +235,32 @@ def _to_decimal(n: int) -> str:
     return "".join(reversed(parts))
 
 
-def _decimal(name: str, text: str, max_bits: int | None = None) -> int:
-    """The value of a canonical decimal field; anything else raises.
+def read_decimal(name: str, text: str, max_bits: int = _SHORT_BITS) -> int:
+    """The value of a canonical decimal named name; anything else raises.
 
-    Without max_bits the interpreter's int<->str limit bounds the work.
-    With it, a field longer than any max_bits-bit number is refused before
-    it is converted, in chunks, so the work is bounded by max_bits.
+    The one reader of integers from outside the program: certificate
+    fields and command-line arguments.  A text longer than any
+    max_bits-bit number is refused before it is converted, in chunks, so
+    the work is bounded by max_bits and no result depends on the
+    interpreter's int<->str limit.
     """
-    canonical = _CANONICAL.fullmatch(text)
-    if canonical and max_bits is not None:
-        digits = text.lstrip("-")
-        e = len(digits) - 1  # the value is at least 10^e
-        if e >= max_bits or (10 ** e).bit_length() > max_bits:
-            raise CertificateFormatError(f"{name} has more digits than "
-                                         f"{max_bits} bits allow")
-        value = 0
-        for i in range(0, len(digits), _CHUNK):
-            piece = digits[i:i + _CHUNK]
-            value = value * 10 ** len(piece) + int(piece)
-        return -value if text[0] == "-" else value
-    try:
-        value = int(text)
-    except ValueError:
-        raise CertificateFormatError(f"non-decimal value for {name}") from None
-    if not canonical:  # int() also takes +, leading zeros, -0, unicode digits
+    if not _CANONICAL.fullmatch(text):
+        try:  # int() also takes +, leading zeros, -0, unicode digits
+            int(text)
+        except ValueError:
+            raise CertificateFormatError(
+                f"non-decimal value for {name}") from None
         raise CertificateFormatError(f"non-canonical decimal for {name}")
-    return value
+    digits = text.lstrip("-")
+    e = len(digits) - 1  # the value is at least 10^e
+    if e >= max_bits or (10 ** e).bit_length() > max_bits:
+        raise CertificateFormatError(f"{name} has more digits than "
+                                     f"{max_bits} bits allow")
+    value = 0
+    for i in range(0, len(digits), _CHUNK):
+        piece = digits[i:i + _CHUNK]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text[0] == "-" else value
 
 
 def serialize(c: Certificate) -> str:
@@ -284,12 +289,13 @@ def parse(text: str) -> Certificate:
         prefix = name + "="
         if not line.startswith(prefix):
             raise CertificateFormatError(f"expected {prefix}..., got {line!r}")
-        max_bits = None if name in ("k", "a", "r") else values["k"] + 3
-        values[name] = _decimal(name, line[len(prefix):], max_bits)
+        max_bits = _SHORT_BITS if name in ("k", "a", "r") else values["k"] + 3
+        values[name] = read_decimal(name, line[len(prefix):], max_bits)
         if name in ("k", "N", "r") and values[name] < 1:  # before k bounds
             raise CertificateFormatError(f"{name} must be positive")
     if values["a"] not in TWISTS:
-        raise CertificateFormatError(f"a={values['a']} is not a known twist")
+        raise CertificateFormatError(
+            f"a={_to_decimal(values['a'])} is not a known twist")
     for name in ("d", "x", "y", "z"):
         if not 0 <= values[name] < values["N"]:
             raise CertificateFormatError(f"{name} out of range [0, N-1]")

@@ -1,7 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 = answer produced (a composite verdict is an answer),
-2 = usage error, 3 = I/O or parse error.
+2 = usage error, 3 = I/O or parse error.  Every integer argument is
+read by certificate.read_decimal and every bound is checked by the
+parser, so anything else that raises is a fault of the program and
+exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -20,27 +23,37 @@ _MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
 _MAX_K = 2**24  # jk_closed squares alpha^(2^i) up to k's top bit
 
 
-def _decimal(text: str) -> int:
-    """An integer argument, held to the certificate fields' canonical rule."""
-    if not cert_mod._CANONICAL.fullmatch(text):
-        raise ValueError(f"not a canonical decimal: {text!r}")
-    return int(text)
+def _int_arg(text: str, low: float, high: float, subject: str = "") -> int:
+    """A canonical decimal in [low, high]; subject opens the bound's message."""
+    value = cert_mod.read_decimal("argument", text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{subject}must be >= {low}")
+    if value > high:
+        raise argparse.ArgumentTypeError(f"{subject}must be <= {high}")
+    return value
 
 
 def _positive_k(text: str) -> int:
-    k = _decimal(text)
-    if k < 2:
-        raise argparse.ArgumentTypeError("k must be >= 2")
-    if k > _MAX_K:
-        raise argparse.ArgumentTypeError(f"k must be <= {_MAX_K}")
-    return k
+    return _int_arg(text, 2, _MAX_K, "k ")
 
 
 def _sieve_limit(text: str) -> int:
-    limit = _decimal(text)
-    if limit > _MAX_SIEVE_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIEVE_LIMIT}")
-    return limit
+    return _int_arg(text, -math.inf, _MAX_SIEVE_LIMIT)
+
+
+def _jobs(text: str) -> int:
+    return _int_arg(text, 1, math.inf)
+
+
+def _kset(text: str) -> list[int]:
+    entries = [t.strip() for t in text.split(",")]
+    if not any(entries):
+        raise argparse.ArgumentTypeError("--kset must name at least one k")
+    try:
+        return [_int_arg(t, 2, _MAX_K, "--kset entries ") for t in entries]
+    except ValueError:
+        raise argparse.ArgumentTypeError("--kset must be a comma-separated "
+                                         "list of integers") from None
 
 
 def _max_certificate_chars() -> int:
@@ -130,25 +143,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    entries = [t.strip() for t in args.kset.split(",")]
-    if not any(entries):
-        raise ValueError("--kset must name at least one k")
-    try:
-        kset = [_decimal(t) for t in entries]
-    except ValueError:
-        raise ValueError("--kset must be a comma-separated list of "
-                         "integers") from None
-    if any(k < 2 for k in kset):
-        raise ValueError("--kset entries must be >= 2")
-    if any(k > _MAX_K for k in kset):
-        raise ValueError(f"--kset entries must be <= {_MAX_K}")
     print(f"{'k':>8}  {'step2_s':>10}  {'step7_s':>10}")
     timings: dict[int, float] = {}
-    for k in kset:
+    for k in args.kset:
         stats = prover.bench_run(k)
         timings[k] = s7 = stats.step7_seconds
         print(f"{k:>8}  {stats.step2_seconds:>10.3f}  {s7:>10.3f}")
-    for k in kset:
+    for k in args.kset:
         half = (k - 1) // 2 + 1
         if (k - 1) % 2 == 0 and half in timings and half != k:
             print(f"ratio step7({k})/step7({half}) = {timings[k] / timings[half]:.2f}")
@@ -186,18 +187,18 @@ def _selftest_jk_sequence() -> None:
 
 
 def _selftest_twist_tables() -> None:
-    for k in range(2, 2001):
+    for k in range(2, 2001):  # every twist row is met by k = 72
         if not jk_sequence.forced_composite(k):
             choice = twists.select_twist(k)
-            assert choice.a in twists.TWISTS
+            a, (x0, y0) = choice.a, choice.point
+            assert a in twists.TWISTS
+            assert y0 * y0 == x0 ** 3 - 35 * a * a * x0 - 98 * a ** 3
     for k in range(2, 260):
         if jk_sequence.forced_composite(k):
             continue
         choice = twists.select_twist(k)
         assert twists.s_membership(choice.a, k)  # also cross-checks tables
         assert twists.t_membership(choice.a, k)
-    for _, _, a, (x0, y0) in twists._ROWS:
-        assert y0 * y0 == x0 ** 3 - 35 * a * a * x0 - 98 * a ** 3
 
 
 def _selftest_mont_curve() -> None:
@@ -307,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kmin", type=_positive_k)
     p.add_argument("kmax", type=_positive_k)
     p.add_argument("--sieve-limit", type=_sieve_limit, default=10000)
-    p.add_argument("--jobs", type=_decimal, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 
@@ -324,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("bench", help="per-step timings, no verdicts")
-    p.add_argument("--kset", default=_DEFAULT_BENCH,
+    p.add_argument("--kset", type=_kset, default=_DEFAULT_BENCH,
                    help="comma-separated k values (default %(default)s)")
     p.set_defaults(func=cmd_bench)
 
@@ -334,10 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as e:
-        parser.exit(2, f"error: {e}\n")
+    if args.command == "search" and args.kmin > args.kmax:
+        parser.error("kmin must be <= kmax")
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """The public surface: the package's exported names and the CLI's commands.
 
 Both are promised not to drift; a name added, renamed or dropped fails
-here first.
+here first.  So does a new read of one module's private name by another.
 """
 
 import argparse
+import ast
+from pathlib import Path
 
 import cm7prime
 from cm7prime import cli
@@ -52,3 +54,55 @@ def test_cli_subcommands_are_pinned():
                        for s in (a.option_strings or [a.dest])}
                 for name, p in sub.choices.items()}
     assert commands == CLI_COMMANDS
+
+
+# (reader, module._name): every private name one module of the package
+# reads from another.  A new crossing fails here: give the name a public
+# spelling, or add it with its reason.
+PRIVATE_CROSSINGS = {
+    ("sieve", "jk_sequence._recurrence"),  # the numpy engine, ROADMAP item 3
+    ("certificate", "prover._curve_steps"),  # the builder's steps 4-8
+}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The package module an import reads from, "" for the package itself."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and \
+            (node.module + ".").startswith("cm7prime."):
+        return node.module[len("cm7prime."):]
+    return None
+
+
+def _private_crossings() -> set[tuple[str, str]]:
+    found = set()
+    for path in sorted(Path(cm7prime.__file__).parent.glob("*.py")):
+        reader = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _sibling(node)
+            if source is None:
+                continue
+            for alias in node.names:
+                if source == "":  # from . import module [as name]
+                    modules[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    found.add((reader, f"{source}.{alias.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _is_private(node.attr) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                found.add((reader, f"{modules[node.value.id]}.{node.attr}"))
+    return found
+
+
+def test_private_names_stay_inside_their_module():
+    assert _private_crossings() == PRIVATE_CROSSINGS

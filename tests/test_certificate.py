@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from cm7prime.certificate import (Certificate, CertificateFormatError,
                                   _cm_sqrt_minus7, build_certificate,
                                   decimal_digits, exceeds_quarter_bound,
-                                  minimal_doubling_exponent, parse, serialize,
-                                  verify_certificate)
+                                  minimal_doubling_exponent, parse, read_decimal,
+                                  serialize, verify_certificate)
 from cm7prime.jk_sequence import forced_composite, jk_closed
 from cm7prime.mont_curve import (ModulusCtx, montgomerize, montgomery_constants,
                                  projective_rhs, sqrt_minus7)
@@ -312,6 +312,13 @@ class TestPastTheIntStrLimit:
                 assert decimal_digits(n) == len(str(n)), n
         assert decimal_digits(jk_closed(14282).value) == 4300
         assert decimal_digits(jk_closed(14283).value) == 4301
+
+    def test_short_fields_hold_exactly_4300_digits(self):
+        # what the default limit took; test_cli shows it under other limits
+        assert read_decimal("r", "9" * 4300) == 10**4300 - 1
+        assert read_decimal("a", "-" + "9" * 4300) == 1 - 10**4300
+        with pytest.raises(CertificateFormatError, match="more digits"):
+            read_decimal("k", "1" + "0" * 4300)
 
 
 class TestVerify:

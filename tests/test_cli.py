@@ -307,3 +307,74 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+# CPython's int<->str limit: unset (4300 digits), its floor, and lifted
+INT_STR_LIMITS = [None, "640", "0"]
+
+
+def _with_int_str_limit(monkeypatch, limit):
+    if limit is None:
+        monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", limit)
+
+
+class TestOneReader:
+    """Every outside integer is read one way, whatever the interpreter's
+    int<->str limit, and only argument errors exit 2."""
+
+    @pytest.mark.parametrize("limit", INT_STR_LIMITS)
+    def test_long_r_fails_the_bound_under_any_limit(self, tmp_path,
+                                                    monkeypatch, limit):
+        cert = build_certificate(17)
+        path = tmp_path / "long_r.txt"
+        path.write_text(serialize(cert).replace(f"r={cert.r}\n",
+                                                "r=" + "7" * 700 + "\n"))
+        _with_int_str_limit(monkeypatch, limit)
+        res = run_cli("verify", str(path))
+        assert (res.returncode, res.stdout) == (0, "INVALID:r-bound\n")
+
+    @pytest.mark.parametrize("limit", INT_STR_LIMITS)
+    def test_long_a_is_an_unknown_twist_under_any_limit(self, tmp_path,
+                                                        monkeypatch, limit):
+        path = tmp_path / "long_a.txt"
+        path.write_text(serialize(build_certificate(17)).replace(
+            "a=-1\n", "a=-" + "7" * 700 + "\n"))
+        _with_int_str_limit(monkeypatch, limit)
+        res = run_cli("verify", str(path))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert "is not a known twist" in res.stderr
+
+    @pytest.mark.parametrize("limit", INT_STR_LIMITS)
+    @pytest.mark.parametrize("field", ["k", "a", "r"])
+    def test_4301_digits_are_refused_under_any_limit(self, tmp_path,
+                                                     monkeypatch, field,
+                                                     limit):
+        cert = build_certificate(17)
+        line = f"{field}={getattr(cert, field)}\n"
+        path = tmp_path / "long.txt"
+        path.write_text(serialize(cert).replace(
+            line, f"{field}=1" + "0" * 4300 + "\n"))
+        _with_int_str_limit(monkeypatch, limit)
+        res = run_cli("verify", str(path))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert f"malformed certificate: {field} has more digits" in res.stderr
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(k):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(prover, "test_jk", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["test", "17"])
+
+    @pytest.mark.parametrize("args", [
+        ("search", "2", "30", "--jobs", "0"),
+        ("search", "2", "30", "--jobs", "-1"),
+        ("search", "5", "4"),
+    ])
+    def test_bounds_are_checked_while_parsing(self, args):
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "usage: cm7prime" in res.stderr
