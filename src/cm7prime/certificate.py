@@ -7,8 +7,17 @@ primality: were N composite, it would have a prime factor p <= sqrt(N),
 and the curve over F_p cannot hold a point of order exceeding
 (p^(1/2) + 1)^2 <= (N^(1/4) + 1)^2 < 2^r.  So a verifier only needs
 r = k/2 + O(1) doublings (about 2.5k multiplications), half the cost
-of the full run, plus O(1) consistency checks.  A composite J_k has
-no such point, so build_certificate returns None for it.
+of the full run, plus O(1) consistency checks.
+
+The verifier is the one judge of a certificate.  build_certificate runs
+the first s doublings of test_jk's chain, recovers y, and returns the
+result only if verify_certificate, running the last r doublings,
+accepts it.  So a prime costs test_jk's k + 1 doublings plus one
+exponentiation, the y recovery, and nothing decides validity twice.  A
+composite J_k has no such point, and its build returns None at the
+first step that fails: an inverse that shares a factor with J_k, or a
+verifier check, usually the curve equation, which comes before the
+verifier's r doublings.
 
 Acceptance does not depend on how d was found.  The verifier checks
 d^2 = -7 (mod N); that makes the curve constants well defined, and the
@@ -29,20 +38,20 @@ as y = (y^2)^((N+1)/4), which works because N = 3 (mod 4).
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 
 from .jk_sequence import forced_composite, jk_closed
 from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
                          XZPoint, double_chain, is_strongly_nonzero, is_zero_mod,
-                         montgomery_constants, projective_rhs)
-from .prover import _curve_steps
+                         montgomerize, montgomery_constants, projective_rhs)
 from .quad_ring import jk_element
-from .twist_tables import TWISTS, jacobi_symbol
+from .twist_tables import TWISTS, jacobi_symbol, select_twist
 
 _VERSION_LINE = "JKCERT 1"
 _FIELDS = ("k", "N", "a", "d", "r", "x", "y", "z")
 _CANONICAL = re.compile(r"0|-?[1-9][0-9]*")  # no +, leading zeros or -0; ASCII
+# what int() also takes: spaces, +, leading zeros, -0, _ and unicode digits
+_INT_LIKE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 # digits per int<->str step: CPython refuses conversions longer than
 # sys.get_int_max_str_digits() (4300 by default, never below 640)
 _CHUNK = 600
@@ -96,12 +105,6 @@ def minimal_doubling_exponent(n: int) -> int:
     return r
 
 
-def _on_curve_projective(x: int, y: int, z: int, b_coef: int, c_coef: int,
-                         ctx: ModulusCtx) -> bool:
-    lhs = ctx.mul(ctx.mul(b_coef, ctx.sqr(y)), z)
-    return lhs == projective_rhs(x, z, c_coef, ctx)
-
-
 def _cm_sqrt_minus7(k: int, ctx: ModulusCtx) -> int:
     """A square root of -7 mod J_k = ctx.N from the CM structure.
 
@@ -125,11 +128,14 @@ def build_certificate(k: int) -> Certificate | None:
     """Certificate for J_k, or None when J_k is composite.
 
     d comes from the CM structure (_cm_sqrt_minus7), not from step 2's
-    exponentiation, then steps 4-8 run once with the iterate s = k + 1 - r
-    kept.  Certifying a prime costs that chain plus one exponentiation,
-    the y recovery.  A forced congruence, a non-invertible v or a chain
-    that does not say Prime returns None: a composite has no certificate,
-    and test_jk says why it is composite.
+    exponentiation.  Then the twist's start point is doubled s = k + 1 - r
+    times, y is recovered, and the result is returned only if
+    verify_certificate, which doubles the last r times, accepts it.  A
+    prime costs k + 1 doublings plus one exponentiation, the y recovery.
+    A composite gets None, at no more cost: at a forced congruence, at an
+    inverse (of v, of 56a or of B z) that shares a factor with J_k, or at
+    the verifier's first failing check.  test_jk says why it is
+    composite.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -139,26 +145,22 @@ def build_certificate(k: int) -> Certificate | None:
     r = minimal_doubling_exponent(n)
     s = k + 1 - r
     ctx = ModulusCtx(n)
+    twist = select_twist(k)
     try:
         d = _cm_sqrt_minus7(k, ctx)
+        curve, q = montgomerize(twist.a, twist.point[0], d, ctx)
+        if s == 0:
+            # Q is the transformed start point (B(x0 - r), B y0)
+            y = ctx.mul(curve.B, twist.point[1] % n)
+        else:
+            q, _, _ = double_chain(q, curve, ctx, s)
+            y_sq = ctx.mul(projective_rhs(q.x, q.z, curve.C, ctx),
+                           ctx.inv(ctx.mul(curve.B, q.z)))
+            y = ctx.pow_mod(y_sq, (n + 1) // 4)
     except NonInvertibleError:
         return None
-    res = _curve_steps(k, ctx, d, time.perf_counter(), keep_at=s)
-    if not res.verdict.is_prime:
-        return None
-    curve, q = res.curve, res.kept
-    assert curve is not None and q is not None
-    if s == 0:
-        # Q is the transformed start point (B(x0 - r), B y0)
-        y = ctx.mul(curve.B, res.twist.point[1] % n)
-    else:
-        y_sq = ctx.mul(projective_rhs(q.x, q.z, curve.C, ctx),
-                       ctx.inv(ctx.mul(curve.B, q.z)))
-        y = ctx.pow_mod(y_sq, (n + 1) // 4)
-    if not _on_curve_projective(q.x, y, q.z, curve.B, curve.C, ctx):
-        # impossible once the prover said Prime
-        raise ArithmeticError(f"certificate point off the curve at k={k}")
-    return Certificate(k, n, res.twist.a, curve.d, r, (q.x, y, q.z))
+    cert = Certificate(k, n, twist.a, curve.d, r, (q.x, y, q.z))
+    return cert if verify_certificate(cert)[0] else None
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,8 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
     except NonInvertibleError:
         return fail("gcd", ctx)
     x, y, z = c.q
-    if not _on_curve_projective(x, y, z, b_coef, c_coef, ctx):
+    lhs = ctx.mul(ctx.mul(b_coef, ctx.sqr(y)), z)
+    if lhs != projective_rhs(x, z, c_coef, ctx):
         return fail("curve-equation", ctx)
     curve = MontCurveCtx(c.d, 0, b_coef, c_coef)  # r_shift unused here
     final, penultimate, _ = double_chain(XZPoint(x, z), curve, ctx, c.r)
@@ -245,12 +248,9 @@ def read_decimal(name: str, text: str, max_bits: int = _SHORT_BITS) -> int:
     interpreter's int<->str limit.
     """
     if not _CANONICAL.fullmatch(text):
-        try:  # int() also takes +, leading zeros, -0, unicode digits
-            int(text)
-        except ValueError:
-            raise CertificateFormatError(
-                f"non-decimal value for {name}") from None
-        raise CertificateFormatError(f"non-canonical decimal for {name}")
+        if _INT_LIKE.fullmatch(text):
+            raise CertificateFormatError(f"non-canonical decimal for {name}")
+        raise CertificateFormatError(f"non-decimal value for {name}")
     digits = text.lstrip("-")
     e = len(digits) - 1  # the value is at least 10^e
     if e >= max_bits or (10 ** e).bit_length() > max_bits:

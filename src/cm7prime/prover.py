@@ -36,7 +36,7 @@ from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
                          XZPoint, double_chain, is_strongly_nonzero,
                          is_zero_mod, montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
-from .twist_tables import TwistChoice, select_twist
+from .twist_tables import select_twist
 
 
 class VerdictKind(Enum):
@@ -76,12 +76,10 @@ class RunStats(OpCounts):
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """test_jk's innards, for the certificate builder and tests."""
+    """test_jk's innards, for tests and the benchmark."""
 
     verdict: Verdict
     stats: RunStats
-    twist: TwistChoice | None = None
-    curve: MontCurveCtx | None = None
     kept: XZPoint | None = None
     ctx: ModulusCtx | None = None
 
@@ -140,19 +138,19 @@ def _curve_steps(k: int, ctx: ModulusCtx, d: int, t0: float,
         curve, start = montgomerize(twist.a, twist.point[0], d, ctx)  # 5-6
     except NonInvertibleError as e:
         v = Verdict(VerdictKind.GCD_WITNESS, witness=e.witness)
-        return PipelineResult(v, _stats(ctx, t0, 5, s2=s2), twist, ctx=ctx)
+        return PipelineResult(v, _stats(ctx, t0, 5, s2=s2), ctx=ctx)
 
     (cur, prev, kept), s7, s7ops = _step7(start, curve, ctx, k, keep_at)
 
     if prev.z == 0:  # zero is absorbing: some iterate <= k was zero
         v = Verdict(VerdictKind.CURVE_TEST)  # order < 2^(k+1): composite
         stats = _stats(ctx, t0, 7, early=True, s2=s2, s7=s7, s7ops=s7ops)
-        return PipelineResult(v, stats, twist, curve, kept, ctx)
+        return PipelineResult(v, stats, kept, ctx)
 
     ok = is_strongly_nonzero(prev, ctx) and is_zero_mod(cur, ctx)  # step 8
     v = Verdict(VerdictKind.PRIME if ok else VerdictKind.CURVE_TEST)
     stats = _stats(ctx, t0, 8, s2=s2, s7=s7, s7ops=s7ops)
-    return PipelineResult(v, stats, twist, curve, kept, ctx)
+    return PipelineResult(v, stats, kept, ctx)
 
 
 def test_jk(k: int) -> tuple[Verdict, RunStats]:

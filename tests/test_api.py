@@ -61,7 +61,6 @@ def test_cli_subcommands_are_pinned():
 # spelling, or add it with its reason.
 PRIVATE_CROSSINGS = {
     ("sieve", "jk_sequence._recurrence"),  # the numpy engine, ROADMAP item 3
-    ("certificate", "prover._curve_steps"),  # the builder's steps 4-8
 }
 
 
@@ -106,3 +105,18 @@ def _private_crossings() -> set[tuple[str, str]]:
 
 def test_private_names_stay_inside_their_module():
     assert _private_crossings() == PRIVATE_CROSSINGS
+
+
+def test_certificate_imports_nothing_from_prover():
+    # the builder doubles on its own and the verifier alone judges a
+    # certificate, so no verdict of the prover's can leak into one
+    path = Path(cm7prime.__file__).parent / "certificate.py"
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            source = _sibling(node)
+            if source == "":  # from . import module
+                read.update(alias.name for alias in node.names)
+            elif source is not None:
+                read.add(source)
+    assert read and "prover" not in read

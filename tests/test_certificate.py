@@ -5,18 +5,23 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cm7prime import certificate, mont_curve, prover
 from cm7prime.certificate import (Certificate, CertificateFormatError,
-                                  _cm_sqrt_minus7, build_certificate,
-                                  decimal_digits, exceeds_quarter_bound,
+                                  VerifyStats, _cm_sqrt_minus7,
+                                  build_certificate, decimal_digits,
+                                  exceeds_quarter_bound,
                                   minimal_doubling_exponent, parse, read_decimal,
                                   serialize, verify_certificate)
 from cm7prime.jk_sequence import forced_composite, jk_closed
@@ -212,10 +217,37 @@ class TestCMRoot:
         assert calls == [(cert.n + 1) // 4]
 
     def test_no_exponentiation_for_a_composite(self, monkeypatch):
-        # J_11 runs the chain, which says composite; no test_jk follows
+        # gcd(z_5, J_11) = 11, so the inverse of B z_5 stops the build
+        # before the y recovery; no test_jk follows
         calls = self._pow_mod_calls(monkeypatch)
         assert build_certificate(11) is None
         assert calls == []
+
+    def test_composite_past_the_inverse_exponentiates_once(self, monkeypatch):
+        # J_14 = 65363 is composite, yet its chain reaches s = 6 with z_6
+        # invertible: one y recovery, then the verifier says no.  Neither
+        # step 2 nor the prover runs.
+        calls = self._pow_mod_calls(monkeypatch)
+
+        def forbidden(*args):
+            raise AssertionError("build_certificate ran step 2 or the prover")
+
+        monkeypatch.setattr(mont_curve, "sqrt_minus7", forbidden)
+        monkeypatch.setattr(prover, "run_pipeline", forbidden)
+        n = jk_closed(14).value
+        assert build_certificate(14) is None
+        assert calls == [(n + 1) // 4]
+
+    def test_returns_only_what_the_verifier_accepts(self, monkeypatch):
+        seen = []
+
+        def reject(cert):
+            seen.append(cert)
+            return False, VerifyStats.from_ctx(None, "rejected")
+
+        monkeypatch.setattr(certificate, "verify_certificate", reject)
+        assert build_certificate(17) is None
+        assert [c.k for c in seen] == [17]
 
 
 class TestSerialization:
@@ -312,6 +344,32 @@ class TestPastTheIntStrLimit:
                 assert decimal_digits(n) == len(str(n)), n
         assert decimal_digits(jk_closed(14282).value) == 4300
         assert decimal_digits(jk_closed(14283).value) == 4301
+
+    @pytest.mark.parametrize("limit", [None, "0"], ids=["default", "lifted"])
+    def test_non_canonical_message_needs_no_int_conversion(self, limit):
+        # the message comes from a pattern, not from int(), so neither it
+        # nor its cost depends on the limit; int() of 400,000 digits is
+        # refused by default and quadratic once the limit is lifted
+        code = ("import time\n"
+                "from cm7prime.certificate import read_decimal\n"
+                "text = '+' + '7' * 400_000\n"
+                "start = time.perf_counter()\n"
+                "try:\n"
+                "    read_decimal('x', text, 20)\n"
+                "except ValueError as e:\n"
+                "    print(f'{e}|{time.perf_counter() - start}')\n")
+        env = dict(os.environ)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        message, seconds = out.strip().split("|")
+        assert message == "non-canonical decimal for x"
+        assert float(seconds) < 0.5, seconds
 
     def test_short_fields_hold_exactly_4300_digits(self):
         # what the default limit took; test_cli shows it under other limits
