@@ -20,6 +20,17 @@ Three engines find bit-identical zeros and counts:
   * "numpy": the recurrence stream with an array of all primes as the
     modulus, O(n) vector steps.
 
+The "period" engine never computes the order of a root, and it reads only
+the prime powers q^a of ell - 1 with q <= n + 2, so a partial
+factorisation of ell - 1 is enough.  For split ell, Pohlig-Hellman fixes
+k mod each q's part of the root's order, for q in ascending order while
+q <= (n - x) // s, where k = x (mod s) is what is fixed so far.  Past
+that point every prime of the order of g = r^s exceeds (n - x) // s, so
+at most one k = x + s*j <= n is a zero, and one baby-step giant-step
+search over j finds it.  Since (n - x) // s <= n, no q > n is ever read.
+For inert ell a zero needs ord_ell(2) <= n + 2, and such an order has no
+prime factor above n + 2.
+
 The default is "period" at every size.  "numpy", the package's one import
 of numpy, runs only when named: the benchmark's engine tour still times
 it, and it goes with that tour (ROADMAP item 3).
@@ -103,40 +114,29 @@ def _least_factors(top: int) -> array:
     return spf
 
 
-def _factors(m: int, spf: array) -> list[int]:
-    """The prime factors of m, ascending, with multiplicity."""
+def _prime_powers(m: int, spf: array, top: int) -> list[tuple[int, int]]:
+    """(q, q^a) for each prime power q^a exactly dividing m with q <= top,
+    ascending in q.  The factors of m above top are never looked at."""
     out = []
     while m > 1:
-        p = spf[m] or m
-        out.append(p)
-        m //= p
+        q = spf[m] or m
+        if q > top:
+            break
+        b = q
+        m //= q
+        while m % q == 0:
+            m //= q
+            b *= q
+        out.append((q, b))
     return out
-
-
-def _order(g: int, ell: int, factors: list[int],
-           cap: int | None = None) -> int | None:
-    """The multiplicative order of g mod ell, or None once it exceeds cap.
-
-    factors are those of ell - 1 with multiplicity.  Taken largest first,
-    each either leaves o or joins found, a divisor of the order, so a
-    small cap stops after the large factors.
-    """
-    o, found = ell - 1, 1
-    for q in reversed(factors):
-        if pow(g, o // q, ell) == 1:
-            o //= q
-        else:
-            found *= q
-            if cap is not None and found > cap:
-                return None
-    return o
 
 
 def _bsgs(g: int, y: int, bound: int, ell: int) -> int | None:
     """The least j in [0, bound) with g^j = y mod ell, or None.
 
-    Baby-step giant-step, or a plain scan for small bounds; g's order
-    must be at least bound.
+    Baby-step giant-step, or a plain scan for small bounds.  If g's order
+    o is below the m baby steps, they hold o distinct values and the least
+    j is a baby index mod o.
     """
     if bound <= 16:
         e = 1
@@ -151,7 +151,10 @@ def _bsgs(g: int, y: int, bound: int, ell: int) -> int | None:
     for i in range(m):
         baby[e] = i
         e = e * g % ell
-    giant = pow(g, -m, ell)
+    if len(baby) < m:  # g^o = 1 with o < m: every power of g is a baby
+        i = baby.get(y)
+        return None if i is None else i % len(baby)
+    giant = pow(e, -1, ell)  # g^-m
     for t in range(0, bound, m):
         i = baby.get(y)
         if i is not None:
@@ -161,16 +164,20 @@ def _bsgs(g: int, y: int, bound: int, ell: int) -> int | None:
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the quadratic residue a mod the odd prime p
-    (Tonelli-Shanks)."""
+    """A square root of the quadratic residue a mod the odd prime p: one
+    pow if p = 3 (mod 4) or p = 5 (mod 8) (Atkin), else Tonelli-Shanks."""
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
+    if p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        return a * v * (2 * a * v * v - 1) % p
     e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^e, q odd
     q = (p - 1) >> e
-    z = 2
+    z = 3  # 2 is a square when p = 1 (mod 8)
     while pow(z, (p - 1) // 2, p) == 1:  # the least non-residue
         z += 1
-    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    c, x = pow(z, q, p), pow(a, q // 2, p)
+    r, t = a * x % p, a * x * x % p  # a^((q+1)/2), a^q
     while t != 1:
         i, u = 0, t
         while u != 1:
@@ -180,49 +187,99 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def _split_zeros(r: int, h: int, ell: int, factors: list[int],
-                 n: int) -> range:
-    """The k in [1, n] with r^k = h mod ell: k0, k0 + o, ... with o the
-    order of r, or none.
+def _root_zeros(r: int, h: int, ell: int, powers: list[tuple[int, int]],
+                n: int, hq: dict[int, int]) -> range:
+    """The k in [1, n] with r^k = h mod ell, for h != 1.
 
-    Pohlig-Hellman: with k0 = x + s*j, g = r^s of order m = o/s and
-    y = h*r^-x = g^j, each prime q | m in ascending order fixes j mod b,
-    b the power of q in m, and moves b from m to s.  Once q exceeds the
-    j that still give k0 <= n, one baby-step giant-step search over those
-    j finishes.
+    Pohlig-Hellman without the order of r.  powers are the (q, q^a) with
+    q^a exactly dividing ell - 1, for every q <= n + 2 at least.  Take
+    them in ascending q while q <= (n - x) // s, from x, s = 0, 1: project
+    onto the q-part of F_ell^*, g_q = r^e and y_q = h^e with
+    e = (ell - 1) / q^a (hq caches y_q by q^a).  If g_q = 1, y_q must be 1
+    too.  Else k mod o = ord(g_q) (q, unless a >= 2) is the least d < o
+    with g_q^d = y_q, if any, and CRT joins it into k = x (mod s).
+
+    Then with g = r^s and y = h r^-x the zeros are the k = x + s*j with
+    g^j = y.  If g = 1, r has order s, and they are x, x + s, ... <= n
+    exactly when y = 1.  Else every prime factor of ord(g) exceeds
+    (n - x) // s: each smaller one was taken out above or never divided
+    ord(r), and one never read, above n + 2, exceeds it anyway.  So
+    ord(g) > (n - x) // s, at most one j in [0, (n - x) // s] has
+    g^j = y, and one baby-step giant-step search finds it.
     """
-    o = _order(r, ell, factors)
-    if o < ell - 1 and pow(h, o, ell) != 1:  # h is outside <r>
-        return range(0)
-    x, s, g, y, m = 0, 1, r, h, o
-    for q in factors:
-        if m % q:
-            continue
+    x, s = 0, 1
+    for q, b in powers:
         if q > (n - x) // s:
             break
-        b = q  # the whole power of q in m, found in one search
-        while m % (b * q) == 0:
-            b *= q
-        m //= b
-        d = _bsgs(pow(g, m, ell), pow(y, m, ell), b, ell)
-        x, s = x + s * d, s * b
-        y = y * pow(g, -d, ell) % ell
-        g = pow(g, b, ell)
-    j = _bsgs(g, y, min(m, (n - x) // s + 1), ell)
-    return range(0) if j is None else range(x + s * j, n + 1, o)
+        e = (ell - 1) // b
+        g, y = pow(r, e, ell), hq.get(b)
+        if y is None:
+            y = hq[b] = pow(h, e, ell)
+        if g == 1:
+            if y != 1:
+                return range(0)
+            continue
+        o = q  # the order of g, a power of q
+        if b > q:
+            u = pow(g, q, ell)
+            while u != 1:
+                o, u = o * q, pow(u, q, ell)
+        d = _bsgs(g, y, o, ell)
+        if d is None:
+            return range(0)
+        x, s = x + s * ((d - x) * pow(s, -1, o) % o), s * o
+    g = pow(r, s, ell)
+    y = h * pow(r, -x, ell) % ell
+    if g == 1:
+        return range(x, n + 1, s) if y == 1 else range(0)
+    j = _bsgs(g, y, (n - x) // s + 1, ell)
+    return range(0) if j is None else range(x + s * j, x + s * j + 1)
 
 
-def _inert_zeros(ell: int, factors: list[int], n: int) -> list[int]:
+def _split_zeros(ell: int, powers: list[tuple[int, int]], n: int) -> set[int]:
+    """The k in [1, n] with ell | J_k, for ell split in Z[alpha].
+
+    alpha maps to the roots r = (1 +- sqrt(-7))/2 of F_ell, and ell | J_k
+    exactly when r^k = h = -1/2 for one of them (h = 1 only at ell = 3,
+    which is inert).  Both roots can hit one k, and then ell^2 | J_k, so
+    the zeros are the union of _root_zeros for each.  powers are as
+    there: only q <= n + 2 is ever read.
+    """
+    half = (ell + 1) // 2  # 1/2 mod ell
+    root = _sqrt_mod(ell - 7, ell)
+    # y_2 = h^((ell-1)/2) = (-2|ell) when 4 does not divide ell - 1
+    hq = {2: 1 if ell % 8 == 3 else ell - 1}
+    return set().union(*(
+        _root_zeros((1 + sign * root) * half % ell, ell - half, ell, powers, n,
+                    hq) for sign in (1, -1)))
+
+
+def _inert_zeros(ell: int, powers: list[tuple[int, int]], n: int) -> list[int]:
     """The k in [1, n] with ell | J_k, for ell inert in Z[alpha].
 
     In F_{ell^2}, ell | J_k exactly when alpha^k = -1/2, which needs
     2^k = N(alpha^k) = 1/4, so 2^(k+2) = 1; given that, J_k = 2 + 2t_k.
     So walk k = -2 (mod o), o = ord_ell(2), by t_{k+o} = t_o t_k - t_{k-o}
     (2^o = 1), from t_{-2} = -3/4, and keep the k with t_k = -1.
+
+    Only o <= n + 2 gives a k in [1, n], and every prime factor of such an
+    o is at most n + 2.  So o divides S, the product of powers' q^a (all
+    q <= n + 2 of ell - 1): one pow rejects 2^S != 1 (Fermat's 2^S = 1
+    when S = ell - 1), and else the order comes from S's factors alone,
+    largest first, so a large part stops it early.
     """
-    o = _order(2, ell, factors, n + 2)
-    if o is None:
+    o = 1
+    for _, b in powers:
+        o *= b
+    if o < ell - 1 and pow(2, o, ell) != 1:
         return []
+    found = 1  # the order's part from the primes done so far
+    for q, b in reversed(powers):
+        while b > 1 and pow(2, o // q, ell) == 1:  # b: q's part in o
+            o, b = o // q, b // q
+        found *= b
+        if found > n + 2:
+            return []
     k = o - 2
     t, t_next = trace_mod(k, ell)
     v = (t_next - 2 * t) % ell  # t_o = t_{k+2}
@@ -240,12 +297,11 @@ def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
     """Zeros of J_k mod ell by discrete logarithms in Z[alpha]/ell.
 
     ell | J_k = N(1 + 2 alpha^k) exactly when alpha^k = -1/2 in one
-    component of Z[alpha]/ell.  For split ell (ell mod 7 in {1, 2, 4})
-    alpha maps to the roots (1 +- sqrt(-7))/2 in F_ell, and each gives at
-    most one progression k0 + j*o; their union is counted, since both can
-    hit one k (then ell^2 | J_k).  For inert ell, _inert_zeros walks the
-    candidates.  Every zero counts, J_k = ell included; sieve_range
-    discounts those.
+    component of Z[alpha]/ell.  Split ell (ell mod 7 in {1, 2, 4}) go to
+    _split_zeros, which counts the union of both roots' zeros, since both
+    can hit one k (then ell^2 | J_k); inert ell go to _inert_zeros.  Both
+    read only the prime powers of ell - 1 whose prime is at most n + 2.
+    Every zero counts, J_k = ell included; sieve_range discounts those.
     """
     elim = bytearray(n + 1)
     per_prime: dict[int, int] = {}
@@ -253,15 +309,9 @@ def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
         return elim, per_prime
     spf = _least_factors(primes[-1])
     for ell in primes:
-        factors = _factors(ell - 1, spf)
-        if ell % 7 in (1, 2, 4):
-            half = (ell + 1) // 2  # 1/2 mod ell
-            root = _sqrt_mod(ell - 7, ell)
-            zeros = set().union(*(
-                _split_zeros((1 + sign * root) * half % ell, ell - half, ell,
-                             factors, n) for sign in (1, -1)))
-        else:
-            zeros = _inert_zeros(ell, factors, n)
+        powers = _prime_powers(ell - 1, spf, n + 2)
+        split = ell % 7 in (1, 2, 4)
+        zeros = (_split_zeros if split else _inert_zeros)(ell, powers, n)
         for k in zeros:
             elim[k] = 1
         if zeros:

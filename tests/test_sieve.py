@@ -12,8 +12,9 @@ import pytest
 
 from cm7prime import prover
 from cm7prime.jk_sequence import jk_closed, jk_mod_stream, trace_mod
-from cm7prime.sieve import (_ENGINES, _engine_python, iter_primes, sieve_range,
-                            survivors)
+from cm7prime.sieve import (_ENGINES, _bsgs, _engine_python, _inert_zeros,
+                            _root_zeros, _split_zeros, _sqrt_mod, iter_primes,
+                            sieve_range, survivors)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TABLE_PRIMES_TO_400 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
@@ -215,16 +216,112 @@ class TestDiscreteLogEngine:
          "21057dedafed7c3624f1415db9dbdb573573f161b04d571be164b38ef0324aa8"),
         (20000, 3 * 10**5,
          "bbd0bc36f6059d909687e38f3b0b45dcff07891e7d193a884327d5ee7680bdf7"),
+        (10**5, 10**6,
+         "95ee279536336b126c5b9e407e59b5111dca5ff9ead24df90e91d8ecd65ce3bd"),
+        pytest.param(
+            10**6, 10**7,
+            "898c5e6635eb408f3672e11cb7ad9ae982c63b661a003debf010d9fe295aee5d",
+            marks=pytest.mark.slow),
     ])
     def test_default_matches_frozen_digest(self, n, limit, digest):
         # hashed as perfbench's sieve_digest does; every engine gave these
-        # values, the second is perfbench/reference.json's sieve-deep entry
+        # values, the second is perfbench/reference.json's sieve-deep entry;
+        # the last two come from the engine that computed full orders, and
+        # hold the README's 16,387 and 140,958 survivors
         report = sieve_range(n, limit)
         h = hashlib.sha256(report.survivor_mask)
         h.update(json.dumps([report.n, report.limit,
                              sorted(report.per_prime.items()),
                              list(report.small_j_list)]).encode())
         assert h.hexdigest() == digest
+
+
+def _powers_to(m: int, top: int) -> list[tuple[int, int]]:
+    """(q, q^a) for the prime powers exactly dividing m with q <= top, by
+    trial division: the partial factorisation the finders are promised."""
+    out, q = [], 2
+    while q <= top and m > 1:
+        b = 1
+        while m % q == 0:
+            m, b = m // q, b * q
+        if b > 1:
+            out.append((q, b))
+        q += 1
+    return out
+
+
+def _finder_zeros(ell: int, n: int) -> list[int]:
+    powers = _powers_to(ell - 1, n + 2)
+    finder = _split_zeros if ell % 7 in (1, 2, 4) else _inert_zeros
+    return sorted(finder(ell, powers, n))
+
+
+def _stream_zeros(ell: int, n: int) -> list[int]:
+    elim, _ = _engine_python(n, [ell])
+    return [k for k in range(1, n + 1) if elim[k]]
+
+
+class TestPartialFactorisation:
+    """The zero finders see only the prime powers of ell - 1 whose prime is
+    at most n + 2, and still find every zero the stream finds."""
+
+    @pytest.mark.parametrize("n", [50, 200, 2000])
+    def test_every_small_prime(self, n):
+        for ell in iter_primes(3000):
+            if ell not in (2, 7):
+                assert _finder_zeros(ell, n) == _stream_zeros(ell, n), ell
+
+    # 1e6 < ell < 1e7 and ell - 1 has a prime factor above n = 1000: the
+    # first nine split ones hit k <= n; the inert 1212847, 1256303 and
+    # 2033839 have ord 2 = 57, 449 and 927, so their walks run but find no
+    # zero; the last five have no zero either
+    @pytest.mark.parametrize("ell", [
+        1006891, 1012411, 1014029, 1016597, 1022837, 1027321, 9632267,
+        9836107, 9894739, 1212847, 1256303, 2033839, 1000003, 1000039,
+        1000099, 1000117, 1000121])
+    def test_large_primes_with_a_factor_above_n(self, ell):
+        n = 1000
+        assert max(q for q, _ in _powers_to(ell - 1, ell)) > n
+        assert _finder_zeros(ell, n) == _stream_zeros(ell, n)
+
+    def test_a_root_of_small_order_has_a_progression_of_zeros(self):
+        # 1033 splits, 1032 = 2^3 * 3 * 43, and one root of x^2 - x + 2 has
+        # order 129 = 3 * 43 < n with -1/2 in its group: its zeros are
+        # every 129th k, found with no baby-step giant-step search at all
+        ell, n = 1033, 400
+        half = (ell + 1) // 2
+        root = _sqrt_mod(ell - 7, ell)
+        r = next(r for r in ((1 + root) * half % ell, (1 - root) * half % ell)
+                 if pow(r, 129, ell) == 1)
+        assert [pow(r, 129 // q, ell) != 1 for q in (3, 43)] == [True, True]
+        zeros = _root_zeros(r, ell - half, ell, _powers_to(ell - 1, n + 2), n,
+                            {})
+        brute = [k for k in range(1, n + 1) if pow(r, k, ell) == ell - half]
+        assert list(zeros) == brute == [110, 239, 368]
+        assert set(brute) <= set(_finder_zeros(ell, n))
+        assert _finder_zeros(ell, n) == _stream_zeros(ell, n)
+
+    def test_both_roots_hitting_one_k_count_once(self):
+        ell, n = 340337, 10**5
+        zeros = _finder_zeros(ell, n)
+        assert len(zeros) == 1 and zeros == _stream_zeros(ell, n)
+
+
+class TestBabyStepGiantStep:
+    def test_least_j_when_the_order_is_below_the_bound(self):
+        # 4 has order 5 mod 11, so 4^j = 1 at j = 0, 5, 10, ...; a later
+        # baby step used to overwrite the index of an earlier equal one
+        assert _bsgs(4, 1, 40, 11) == 0
+        assert _bsgs(4, 4, 40, 11) == 1
+
+    def test_matches_a_scan(self):
+        for ell in (11, 101, 1009):
+            for g in range(2, ell, max(1, ell // 40)):
+                for y in range(1, ell, max(1, ell // 25)):
+                    for bound in (1, 5, 16, 17, 40, ell + 3):
+                        scan = next((j for j in range(bound)
+                                     if pow(g, j, ell) == y), None)
+                        assert _bsgs(g, y, bound, ell) == scan, (g, y, bound)
 
 
 class TestSurvivorsHelper:
