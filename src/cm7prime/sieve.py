@@ -134,9 +134,12 @@ def _prime_powers(m: int, spf: array, top: int) -> list[tuple[int, int]]:
 def _bsgs(g: int, y: int, bound: int, ell: int) -> int | None:
     """The least j in [0, bound) with g^j = y mod ell, or None.
 
-    Baby-step giant-step, or a plain scan for small bounds.  If g's order
-    o is below the m baby steps, they hold o distinct values and the least
-    j is a baby index mod o.
+    Baby-step giant-step, or a plain scan for small bounds.  The babies
+    are y g^i for i < m and the giants g^(m t) for t >= 1, so a match is
+    j = m t - i.  Every j >= 1 is m t - i for one such t and i, so the
+    first t that matches holds the least j >= 1, given by the largest i
+    with that baby value: the one a dict keeps, even when g's order is
+    below m and babies repeat.
     """
     if bound <= 16:
         e = 1
@@ -145,21 +148,21 @@ def _bsgs(g: int, y: int, bound: int, ell: int) -> int | None:
                 return j
             e = e * g % ell
         return None
+    if y == 1:
+        return 0
     m = isqrt(bound - 1) + 1
     baby = {}
-    e = 1
+    e = y
     for i in range(m):
         baby[e] = i
         e = e * g % ell
-    if len(baby) < m:  # g^o = 1 with o < m: every power of g is a baby
-        i = baby.get(y)
-        return None if i is None else i % len(baby)
-    giant = pow(e, -1, ell)  # g^-m
-    for t in range(0, bound, m):
-        i = baby.get(y)
+    step = pow(g, m, ell)
+    e = 1
+    for t in range(m, bound + m - 1, m):
+        e = e * step % ell
+        i = baby.get(e)
         if i is not None:
-            return t + i if t + i < bound else None
-        y = y * giant % ell
+            return t - i if t - i < bound else None
     return None
 
 
@@ -188,16 +191,21 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 
 def _root_zeros(r: int, h: int, ell: int, powers: list[tuple[int, int]],
-                n: int, hq: dict[int, int]) -> range:
-    """The k in [1, n] with r^k = h mod ell, for h != 1.
+                n: int, proj: dict[int, tuple]) -> range:
+    """The k in [1, n] with r^k = h mod ell, for r a root of x^2 - x + 2
+    and h = -1/2.
 
     Pohlig-Hellman without the order of r.  powers are the (q, q^a) with
     q^a exactly dividing ell - 1, for every q <= n + 2 at least.  Take
     them in ascending q while q <= (n - x) // s, from x, s = 0, 1: project
     onto the q-part of F_ell^*, g_q = r^e and y_q = h^e with
-    e = (ell - 1) / q^a (hq caches y_q by q^a).  If g_q = 1, y_q must be 1
-    too.  Else k mod o = ord(g_q) (q, unless a >= 2) is the least d < o
-    with g_q^d = y_q, if any, and CRT joins it into k = x (mod s).
+    e = (ell - 1) / q^a.  If g_q = 1, y_q must be 1 too.  Else k mod
+    o = ord(g_q) (q, unless a >= 2) is the least d < o with g_q^d = y_q,
+    if any, and CRT joins it into k = x (mod s).
+
+    proj keeps, by q^a, y_q and the g_q of the root that got there first.
+    The other root r' = 2/r = -1/(h r) then needs no pow: its g_q is 1/B
+    with B = (-1)^e y_q g_q, so it solves B^d = y_q and takes k = -d.
 
     Then with g = r^s and y = h r^-x the zeros are the k = x + s*j with
     g^j = y.  If g = 1, r has order s, and they are x, x + s, ... <= n
@@ -212,9 +220,14 @@ def _root_zeros(r: int, h: int, ell: int, powers: list[tuple[int, int]],
         if q > (n - x) // s:
             break
         e = (ell - 1) // b
-        g, y = pow(r, e, ell), hq.get(b)
+        y, first = proj.get(b, (None, None))
         if y is None:
-            y = hq[b] = pow(h, e, ell)
+            y = pow(h, e, ell)
+        if first is None:
+            g, sign = pow(r, e, ell), 1
+            proj[b] = y, g
+        else:  # e is odd only for q = 2
+            g, sign = (-first * y if q == 2 else first * y) % ell, -1
         if g == 1:
             if y != 1:
                 return range(0)
@@ -227,9 +240,9 @@ def _root_zeros(r: int, h: int, ell: int, powers: list[tuple[int, int]],
         d = _bsgs(g, y, o, ell)
         if d is None:
             return range(0)
-        x, s = x + s * ((d - x) * pow(s, -1, o) % o), s * o
+        x, s = x + s * ((sign * d - x) * pow(s, -1, o) % o), s * o
     g = pow(r, s, ell)
-    y = h * pow(r, -x, ell) % ell
+    y = h * pow((r - 1) * h % ell, x, ell) % ell  # r^-1 = (1 - r)/2
     if g == 1:
         return range(x, n + 1, s) if y == 1 else range(0)
     j = _bsgs(g, y, (n - x) // s + 1, ell)
@@ -246,12 +259,12 @@ def _split_zeros(ell: int, powers: list[tuple[int, int]], n: int) -> set[int]:
     there: only q <= n + 2 is ever read.
     """
     half = (ell + 1) // 2  # 1/2 mod ell
+    h = ell - half
     root = _sqrt_mod(ell - 7, ell)
     # y_2 = h^((ell-1)/2) = (-2|ell) when 4 does not divide ell - 1
-    hq = {2: 1 if ell % 8 == 3 else ell - 1}
-    return set().union(*(
-        _root_zeros((1 + sign * root) * half % ell, ell - half, ell, powers, n,
-                    hq) for sign in (1, -1)))
+    proj = {2: (1 if ell % 8 == 3 else ell - 1, None)}
+    return {*_root_zeros((1 + root) * half % ell, h, ell, powers, n, proj),
+            *_root_zeros((1 - root) * half % ell, h, ell, powers, n, proj)}
 
 
 def _inert_zeros(ell: int, powers: list[tuple[int, int]], n: int) -> list[int]:

@@ -309,8 +309,8 @@ class TestPartialFactorisation:
 
 class TestBabyStepGiantStep:
     def test_least_j_when_the_order_is_below_the_bound(self):
-        # 4 has order 5 mod 11, so 4^j = 1 at j = 0, 5, 10, ...; a later
-        # baby step used to overwrite the index of an earlier equal one
+        # 4 has order 5 mod 11, below the 7 baby steps, so the babies
+        # repeat; 4^j = 1 at j = 0, 5, 10, ... and the least is wanted
         assert _bsgs(4, 1, 40, 11) == 0
         assert _bsgs(4, 4, 40, 11) == 1
 
