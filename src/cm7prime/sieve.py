@@ -226,7 +226,7 @@ def _root_zeros(r: int, h: int, ell: int, powers: list[tuple[int, int]],
         if first is None:
             g, sign = pow(r, e, ell), 1
             proj[b] = y, g
-        else:  # e is odd only for q = 2
+        else:  # B = (-1)^e y_q g_q, and e is odd only for q = 2
             g, sign = (-first * y if q == 2 else first * y) % ell, -1
         if g == 1:
             if y != 1:
@@ -253,10 +253,11 @@ def _split_zeros(ell: int, powers: list[tuple[int, int]], n: int) -> set[int]:
     """The k in [1, n] with ell | J_k, for ell split in Z[alpha].
 
     alpha maps to the roots r = (1 +- sqrt(-7))/2 of F_ell, and ell | J_k
-    exactly when r^k = h = -1/2 for one of them (h = 1 only at ell = 3,
-    which is inert).  Both roots can hit one k, and then ell^2 | J_k, so
-    the zeros are the union of _root_zeros for each.  powers are as
-    there: only q <= n + 2 is ever read.
+    exactly when r^k = h = -1/2 for one of them (h = 1, which would make
+    k = 0 a zero, only at ell = 3, which is inert).  Both roots can hit
+    one k, and then ell^2 | J_k, so the zeros are the union of
+    _root_zeros for each.  powers are as there: only q <= n + 2 is ever
+    read.
     """
     half = (ell + 1) // 2  # 1/2 mod ell
     h = ell - half
