@@ -286,8 +286,8 @@ class TestPartialFactorisation:
 
     def test_a_root_of_small_order_has_a_progression_of_zeros(self):
         # 1033 splits, 1032 = 2^3 * 3 * 43, and one root of x^2 - x + 2 has
-        # order 129 = 3 * 43 < n with -1/2 in its group: its zeros are
-        # every 129th k, found with no baby-step giant-step search at all
+        # order 129 = 3 * 43 < n with -1/2 in its group: once 3 and 43 are
+        # taken out, r^s = 1, and the zeros are every 129th k
         ell, n = 1033, 400
         half = (ell + 1) // 2
         root = _sqrt_mod(ell - 7, ell)
