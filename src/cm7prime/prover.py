@@ -108,7 +108,11 @@ def _step7(start: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx, k: int,
 
 
 def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
-    """All eight steps, exposing the intermediates test_jk hides."""
+    """All eight steps, exposing the intermediates test_jk hides.
+
+    A Prime verdict does not depend on which square root d is: the
+    order-2^(k+1) argument only uses d^2 = -7.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     if keep_at is not None and not 0 <= keep_at <= k + 1:
@@ -123,16 +127,7 @@ def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
     if d is None:
         v = Verdict(VerdictKind.NO_SQRT_MINUS7)
         return PipelineResult(v, _stats(ctx, t0, 3, s2=s2), ctx=ctx)
-    return _curve_steps(k, ctx, d, t0, keep_at, s2)
 
-
-def _curve_steps(k: int, ctx: ModulusCtx, d: int, t0: float,
-                 keep_at: int | None = None, s2: float = 0.0) -> PipelineResult:
-    """Steps 4-8 on J_k = ctx.N from any d with d^2 = -7 (mod J_k).
-
-    A Prime verdict does not depend on which square root d is: the
-    order-2^(k+1) argument only uses d^2 = -7.
-    """
     twist = select_twist(k)  # step 4
     try:
         curve, start = montgomerize(twist.a, twist.point[0], d, ctx)  # 5-6
@@ -142,14 +137,12 @@ def _curve_steps(k: int, ctx: ModulusCtx, d: int, t0: float,
 
     (cur, prev, kept), s7, s7ops = _step7(start, curve, ctx, k, keep_at)
 
-    if prev.z == 0:  # zero is absorbing: some iterate <= k was zero
-        v = Verdict(VerdictKind.CURVE_TEST)  # order < 2^(k+1): composite
-        stats = _stats(ctx, t0, 7, early=True, s2=s2, s7=s7, s7ops=s7ops)
-        return PipelineResult(v, stats, kept, ctx)
-
-    ok = is_strongly_nonzero(prev, ctx) and is_zero_mod(cur, ctx)  # step 8
+    early = prev.z == 0  # zero is absorbing: some iterate <= k was zero
+    ok = (not early and is_strongly_nonzero(prev, ctx)
+          and is_zero_mod(cur, ctx))  # step 8
     v = Verdict(VerdictKind.PRIME if ok else VerdictKind.CURVE_TEST)
-    stats = _stats(ctx, t0, 8, s2=s2, s7=s7, s7ops=s7ops)
+    stats = _stats(ctx, t0, 7 if early else 8, early=early, s2=s2, s7=s7,
+                   s7ops=s7ops)
     return PipelineResult(v, stats, kept, ctx)
 
 

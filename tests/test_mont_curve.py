@@ -13,7 +13,7 @@ from cm7prime.mont_curve import (_FOLD_MIN_BITS, ModulusCtx, MontCurveCtx,
                                  NonInvertibleError, XZPoint, double_chain,
                                  is_strongly_nonzero, is_zero_mod,
                                  montgomerize, sqrt_minus7, xz_double)
-from cm7prime.refcheck import AffinePoint, weier_scalar_mult
+from cm7prime.sieve import iter_primes
 from cm7prime.twist_tables import jacobi_symbol, select_twist
 
 ODD_MODULUS = st.integers(min_value=1, max_value=2**256).map(lambda h: 2 * h + 1)
@@ -42,15 +42,6 @@ def _reference_chain(P, curve, ctx, count):
 
 def _deltas(before, after):
     return tuple(b - a for a, b in zip(before, after))
-
-
-def _primes_upto(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, limit + 1) if sieve[p]]
 
 
 class TestModulusCtx:
@@ -229,7 +220,7 @@ class TestSqrtMinus7:
 
     def test_succeeds_for_all_qualifying_primes_to_1e5(self):
         hits = 0
-        for p in _primes_upto(10**5):
+        for p in iter_primes(10**5):
             if p % 4 != 3 or p % 7 == 0 or jacobi_symbol(-7, p) != 1:
                 continue
             d = sqrt_minus7(ModulusCtx(p))
@@ -444,38 +435,3 @@ class TestIsZeroMod:
         assert is_zero_mod(XZPoint(4, 0), ctx)
         assert is_zero_mod(XZPoint(4, 23), ctx)
         assert not is_zero_mod(XZPoint(4, 1), ctx)
-
-
-class TestAgreementWithGroupLaw:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 9, 10, 17, 18])
-    def test_every_iterate_matches_weierstrass_oracle(self, k):
-        # x/z = B*(x_W - r) whenever 2^i P is finite, z = 0 exactly when
-        # 2^i P is the identity -- checked at every step of the chain
-        n = jk_closed(k).value
-        ctx = ModulusCtx(n)
-        d = sqrt_minus7(ctx)
-        assert d is not None
-        tw = select_twist(k)
-        curve, point = montgomerize(tw.a, tw.point[0], d, ctx)
-        for i in range(k + 2):
-            affine = weier_scalar_mult(2**i, AffinePoint(*tw.point), tw.a, n)
-            if affine is None:
-                assert point.z % n == 0, (k, i)
-            else:
-                assert point.z % n != 0, (k, i)
-                lhs = point.x * pow(point.z, -1, n) % n
-                assert lhs == curve.B * (affine.x - curve.r_shift) % n, (k, i)
-            point = xz_double(point, curve, ctx)
-
-    def test_zero_pattern_is_exactly_the_order(self):
-        for k in (2, 3, 4, 5, 7, 9, 10, 17, 18):
-            n = jk_closed(k).value
-            ctx = ModulusCtx(n)
-            tw = select_twist(k)
-            curve, point = montgomerize(tw.a, tw.point[0], sqrt_minus7(ctx), ctx)
-            zero_at = None
-            for i in range(1, k + 2):
-                point = xz_double(point, curve, ctx)
-                if zero_at is None and is_zero_mod(point, ctx):
-                    zero_at = i
-            assert zero_at == k + 1, k

@@ -17,9 +17,6 @@ from cm7prime.sieve import (_ENGINES, _bsgs, _engine_python, _inert_zeros,
                             sieve_range, survivors)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-TABLE_PRIMES_TO_400 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
-                       65, 77, 84, 87, 100, 109, 147, 170, 213, 235, 287,
-                       319, 375]
 
 
 class TestIterPrimes:
@@ -103,11 +100,6 @@ class TestSoundness:
             witnesses = [ell for ell in divisible[k] if jk > ell]
             assert witnesses, k
             assert all(jk % ell == 0 for ell in witnesses), k
-
-    def test_no_table_index_is_eliminated(self):
-        report = sieve_range(400, 10**4)
-        for k in TABLE_PRIMES_TO_400:
-            assert report.survivor_mask[k], k
 
     def test_per_prime_counts_match_mask_arithmetic(self):
         report = sieve_range(200, 100)

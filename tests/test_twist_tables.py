@@ -9,18 +9,10 @@ from hypothesis import strategies as st
 from cm7prime.jk_sequence import forced_composite, jk_closed
 from cm7prime.refcheck import (AffinePoint, alpha_endomorphism,
                                enumerate_points, weier_scalar_mult)
+from cm7prime.sieve import iter_primes
 from cm7prime.twist_tables import (DELTAS, S_TABLE, T_TABLE, TWISTS,
                                    chi_sqrt_minus7, jacobi_symbol,
                                    s_membership, select_twist, t_membership)
-
-
-def _primes_upto(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, limit + 1) if sieve[p]]
 
 
 class TestSelectTwist:
@@ -107,7 +99,7 @@ class TestJacobiSymbol:
 
     def test_euler_criterion_on_odd_primes(self):
         # independent oracle: (m/p) = m^((p-1)/2) mod p for odd prime p
-        for p in _primes_upto(150):
+        for p in iter_primes(150):
             if p == 2:
                 continue
             for m in range(-p, 2 * p + 1):
