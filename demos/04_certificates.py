@@ -1,8 +1,9 @@
 """Primality certificates a verifier can check at half the prover's cost.
 
-The prover keeps the chain iterate of exact order 2^r, where r is minimal
-with 2^r > (J_k^(1/4) + 1)^2 -- about k/2.  No composite N admits a point
-of that order, so re-doing just those r doublings proves primality.
+build_certificate runs the first s = k+1-r doublings of the chain and
+records that iterate, which has exact order 2^r, where r is minimal with
+2^r > (J_k^(1/4) + 1)^2 -- about k/2.  No composite N admits a point of
+that order, so verify_certificate's last r doublings prove primality.
 """
 
 import dataclasses

@@ -14,8 +14,8 @@ from .jk_sequence import (JkValue, forced_composite, jk_closed, jk_mod_stream,
 from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, XZPoint,
                          double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomerize, sqrt_minus7, xz_double)
-from .prover import (RunStats, Verdict, VerdictKind, bench_run, run_pipeline,
-                     search, test_jk)
+from .prover import (RunStats, Verdict, VerdictKind, run_pipeline, search,
+                     test_jk)
 from .quad_ring import ALPHA, QuadInt, jk_element, qi_conj, qi_mul, qi_norm, qi_pow
 from .sieve import SieveReport, iter_primes, sieve_range, survivors
 from .twist_tables import (TwistChoice, chi_sqrt_minus7, jacobi_symbol,
@@ -27,7 +27,7 @@ __all__ = [
     "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
     "MontCurveCtx", "NonInvertibleError", "QuadInt", "RunStats", "SieveReport",
     "TwistChoice", "Verdict", "VerdictKind", "VerifyStats", "XZPoint",
-    "bench_run", "build_certificate", "chi_sqrt_minus7", "double_chain",
+    "build_certificate", "chi_sqrt_minus7", "double_chain",
     "forced_composite", "is_strongly_nonzero", "is_zero_mod", "iter_primes",
     "jacobi_symbol", "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
     "minimal_doubling_exponent", "montgomerize", "parse", "period_mod",

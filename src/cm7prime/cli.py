@@ -18,7 +18,6 @@ from . import certificate as cert_mod
 from . import jk_sequence, mont_curve, prover, quad_ring, refcheck, sieve
 from . import twist_tables as twists
 
-_DEFAULT_BENCH = "1025,2049,4097,8193"  # 2^m + 1 for m = 10..13
 _MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
 _MAX_K = 2**24  # jk_closed squares alpha^(2^i) up to k's top bit
 
@@ -43,17 +42,6 @@ def _sieve_limit(text: str) -> int:
 
 def _jobs(text: str) -> int:
     return _int_arg(text, 1, math.inf)
-
-
-def _kset(text: str) -> list[int]:
-    entries = [t.strip() for t in text.split(",")]
-    if not any(entries):
-        raise argparse.ArgumentTypeError("--kset must name at least one k")
-    try:
-        return [_int_arg(t, 2, _MAX_K, "--kset entries ") for t in entries]
-    except ValueError:
-        raise argparse.ArgumentTypeError("--kset must be a comma-separated "
-                                         "list of integers") from None
 
 
 def _max_certificate_chars() -> int:
@@ -139,20 +127,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 3
     ok, stats = cert_mod.verify_certificate(cert)
     print("VALID" if ok else f"INVALID:{stats.reason}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    print(f"{'k':>8}  {'step2_s':>10}  {'step7_s':>10}")
-    timings: dict[int, float] = {}
-    for k in args.kset:
-        stats = prover.bench_run(k)
-        timings[k] = s7 = stats.step7_seconds
-        print(f"{k:>8}  {stats.step2_seconds:>10.3f}  {s7:>10.3f}")
-    for k in args.kset:
-        half = (k - 1) // 2 + 1
-        if (k - 1) % 2 == 0 and half in timings and half != k:
-            print(f"ratio step7({k})/step7({half}) = {timings[k] / timings[half]:.2f}")
     return 0
 
 
@@ -323,11 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run per-module invariant checks")
     p.set_defaults(func=cmd_selftest)
-
-    p = sub.add_parser("bench", help="per-step timings, no verdicts")
-    p.add_argument("--kset", type=_kset, default=_DEFAULT_BENCH,
-                   help="comma-separated k values (default %(default)s)")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .jk_sequence import forced_composite, jk_closed
-from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
-                         XZPoint, double_chain, is_strongly_nonzero,
-                         is_zero_mod, montgomerize, sqrt_minus7)
+from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
+                         double_chain, is_strongly_nonzero, is_zero_mod,
+                         montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
 from .twist_tables import select_twist
 
@@ -81,7 +81,6 @@ class PipelineResult:
     verdict: Verdict
     stats: RunStats
     kept: XZPoint | None = None
-    ctx: ModulusCtx | None = None
 
 
 def _stats(ctx: ModulusCtx | None, t0: float, step: int, *, early: bool = False,
@@ -96,15 +95,6 @@ def _timed(fn, *args):
     t = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t
-
-
-def _step7(start: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx, k: int,
-           keep_at: int | None = None):
-    """The k+1 doublings, their seconds and their counter deltas (M, S, A)."""
-    before = ctx.op_counts()
-    chain, s7 = _timed(double_chain, start, curve, ctx, k + 1, keep_at)
-    s7ops = tuple(b - a for a, b in zip(before, ctx.op_counts()[:3]))
-    return chain, s7, s7ops
 
 
 def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
@@ -126,16 +116,19 @@ def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
     d, s2 = _timed(sqrt_minus7, ctx)  # steps 2-3
     if d is None:
         v = Verdict(VerdictKind.NO_SQRT_MINUS7)
-        return PipelineResult(v, _stats(ctx, t0, 3, s2=s2), ctx=ctx)
+        return PipelineResult(v, _stats(ctx, t0, 3, s2=s2))
 
     twist = select_twist(k)  # step 4
     try:
         curve, start = montgomerize(twist.a, twist.point[0], d, ctx)  # 5-6
     except NonInvertibleError as e:
         v = Verdict(VerdictKind.GCD_WITNESS, witness=e.witness)
-        return PipelineResult(v, _stats(ctx, t0, 5, s2=s2), ctx=ctx)
+        return PipelineResult(v, _stats(ctx, t0, 5, s2=s2))
 
-    (cur, prev, kept), s7, s7ops = _step7(start, curve, ctx, k, keep_at)
+    before = ctx.op_counts()  # step 7
+    (cur, prev, kept), s7 = _timed(double_chain, start, curve, ctx, k + 1,
+                                   keep_at)
+    s7ops = tuple(b - a for a, b in zip(before, ctx.op_counts()[:3]))
 
     early = prev.z == 0  # zero is absorbing: some iterate <= k was zero
     ok = (not early and is_strongly_nonzero(prev, ctx)
@@ -143,7 +136,7 @@ def run_pipeline(k: int, keep_at: int | None = None) -> PipelineResult:
     v = Verdict(VerdictKind.PRIME if ok else VerdictKind.CURVE_TEST)
     stats = _stats(ctx, t0, 7 if early else 8, early=early, s2=s2, s7=s7,
                    s7ops=s7ops)
-    return PipelineResult(v, stats, kept, ctx)
+    return PipelineResult(v, stats, kept)
 
 
 def test_jk(k: int) -> tuple[Verdict, RunStats]:
@@ -183,26 +176,3 @@ def search(k_min: int, k_max: int, sieve_limit: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(test_jk, ks, chunksize=8))
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]
-
-
-def bench_run(k: int) -> RunStats:
-    """The counted full run of J_k, for any k >= 2, prime or composite.
-
-    Runs the real exponentiation, then a k+1 doubling chain with the
-    same operand sizes even when d^2 != -7 (composite J_k would exit at
-    step 3 and leave nothing to measure): the a = -1 curve, built from d
-    or from the stand-in 3.  No verdict semantics.
-
-    Returns a RunStats: the four counts of its one ModulusCtx, elapsed,
-    step2_seconds and step7_seconds, and the chain's own
-    step7_multiplications, step7_squarings and step7_additions;
-    step_reached is 7 and early_exit False, since no verdict is given.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    t0 = time.perf_counter()
-    ctx = ModulusCtx(jk_closed(k).value)
-    d, s2 = _timed(sqrt_minus7, ctx)
-    curve, start = montgomerize(-1, 1, d if d is not None else 3, ctx)
-    _, s7, s7ops = _step7(start, curve, ctx, k)
-    return _stats(ctx, t0, 7, s2=s2, s7=s7, s7ops=s7ops)

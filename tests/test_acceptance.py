@@ -21,7 +21,7 @@ from cm7prime.jk_sequence import jk_closed, jk_mod_stream, period_mod
 from cm7prime.mont_curve import (ModulusCtx, double_chain, is_strongly_nonzero,
                                  is_zero_mod, montgomerize, sqrt_minus7,
                                  xz_double)
-from cm7prime.prover import bench_run, search
+from cm7prime.prover import search
 from cm7prime.prover import test_jk as prove_jk
 from cm7prime.refcheck import AffinePoint, probable_prime, trial_division, \
     weier_scalar_mult
@@ -114,16 +114,22 @@ def test_criterion_4_operation_count_contract(capsys, searched):
                 assert stats.step7_additions == 4 * (k + 1), k
                 completed += 1
         assert completed >= 40  # at least every prime index ran a full chain
-        # global budget at k >= 2^12: bench_run's full run, a real
-        # square-root step plus the k+1 doublings (chain cost is independent
-        # of the residue values, so a stand-in d serves when J_k is
-        # composite and no true sqrt(-7) exists)
-        for k in (4099, 4727, 6052):
-            stats = bench_run(k)
+        # global budget at k >= 2^12: full runs at two proven prime
+        # indices, with the (mults, squarings, additions, gcd_calls) that
+        # perfbench/reference.json freezes for them
+        for k, counts in ((5537, (17052, 16615, 22156, 4)),
+                          (7069, (22339, 21205, 28284, 4))):
+            verdict, stats = prove_jk(k)
+            assert verdict.is_prime, k
             assert stats.mults_plus_squarings <= 6.5 * k, \
                 (k, stats.mults_plus_squarings)
             assert stats.additions == 4 * (k + 1) + 4, k  # chain, montgomerize
-        # real pipeline runs at the same sizes stay inside the budget too
+            assert (stats.multiplications, stats.squarings, stats.additions,
+                    stats.gcd_calls) == counts, k
+            assert (stats.step7_multiplications, stats.step7_squarings,
+                    stats.step7_additions) == (3 * (k + 1), 2 * (k + 1),
+                                               4 * (k + 1)), k
+        # composite J_k of the same sizes stay inside the budget too
         for k in (4727, 6052):
             _, stats = prove_jk(k)
             assert stats.mults_plus_squarings <= 6.5 * k, k
@@ -235,7 +241,7 @@ def test_criterion_9_scaling_and_invariants(capsys):
             check()
         # (b) soft scaling: step-7 time between k = 2^14+1 and 2^15+1, as
         # the median over interleaved pairs of equal-length chain slices on
-        # bench_run's stand-in curve, scaled by the step counts k + 1; a
+        # a stand-in a = -1 curve, scaled by the step counts k + 1; a
         # step costs the same at every index, so this is step 7's ratio
         slices = []
         for k in (2**14 + 1, 2**15 + 1):

@@ -6,6 +6,7 @@ here first.  So does a new read of one module's private name by another.
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import cm7prime
@@ -15,7 +16,7 @@ PUBLIC_NAMES = [
     "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
     "MontCurveCtx", "NonInvertibleError", "QuadInt", "RunStats", "SieveReport",
     "TwistChoice", "Verdict", "VerdictKind", "VerifyStats", "XZPoint",
-    "bench_run", "build_certificate", "chi_sqrt_minus7", "double_chain",
+    "build_certificate", "chi_sqrt_minus7", "double_chain",
     "forced_composite", "is_strongly_nonzero", "is_zero_mod", "iter_primes",
     "jacobi_symbol", "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
     "minimal_doubling_exponent", "montgomerize", "parse", "period_mod",
@@ -33,7 +34,6 @@ CLI_COMMANDS = {
     "certify": {"k", "--out", "-h", "--help"},
     "verify": {"file", "-h", "--help"},
     "selftest": {"-h", "--help"},
-    "bench": {"--kset", "-h", "--help"},
 }
 
 
@@ -46,14 +46,26 @@ def test_every_exported_name_resolves():
         assert getattr(cm7prime, name) is not None, name
 
 
-def test_cli_subcommands_are_pinned():
-    parser = cli._build_parser()
-    sub, = [a for a in parser._actions
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    sub, = [a for a in cli._build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_cli_subcommands_are_pinned():
     commands = {name: {s for a in p._actions
                        for s in (a.option_strings or [a.dest])}
-                for name, p in sub.choices.items()}
+                for name, p in _subparsers().items()}
     assert commands == CLI_COMMANDS
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    assert set(re.findall(r"^cm7prime (\S+)", block, re.M)) == \
+        set(_subparsers())
 
 
 # (reader, module._name): every private name one module of the package

@@ -253,49 +253,12 @@ class TestSelftest:
         assert all(line.endswith(": PASS") for line in lines)
 
 
-class TestBench:
-    def test_table_and_ratio(self):
-        res = run_cli("bench", "--kset", "33,65")
-        assert res.returncode == 0
-        lines = res.stdout.splitlines()
-        assert lines[0].split() == ["k", "step2_s", "step7_s"]
-        assert lines[1].split()[0] == "33"
-        assert lines[2].split()[0] == "65"
-        assert re.fullmatch(r"ratio step7\(65\)/step7\(33\) = \d+\.\d\d",
-                            lines[3])
-
-    def test_kset_entries_may_be_spaced(self):
-        res = run_cli("bench", "--kset", " 33, 65 ")
-        assert res.returncode == 0
-        assert [l.split()[0] for l in res.stdout.splitlines()[1:3]] == \
-            ["33", "65"]
-
-    def test_bad_kset_is_usage_error(self):
-        assert run_cli("bench", "--kset", "2,bad").returncode == 2
-        assert run_cli("bench", "--kset", "").returncode == 2
-        assert run_cli("bench", "--kset", "1").returncode == 2
-        # an empty entry is an error wherever it sits, spaced or not
-        for kset in ("2,", "2, ", ",33", "33,,65"):
-            res = run_cli("bench", "--kset", kset)
-            assert (res.returncode, res.stdout) == (2, ""), kset
-        for kset in (",", " , ", " "):
-            res = run_cli("bench", "--kset", kset)
-            assert (res.returncode, res.stdout) == (2, ""), kset
-            assert "must name at least one k" in res.stderr, kset
-
-    def test_kset_entry_above_the_bound_is_usage_error(self):
-        res = run_cli("bench", "--kset", f"33,{2**24 + 1}")
-        assert (res.returncode, res.stdout) == (2, "")
-        assert "--kset entries must be <= 16777216" in res.stderr
-
-
 class TestParser:
     @pytest.mark.parametrize("args", [
         ("test", "1_7"), ("test", "+17"), ("test", "\u0661\u0667"),
         ("test", "017"), ("certify", "+17"),
         ("search", "2", "30", "--jobs", "+1"),
         ("search", "2", "30", "--sieve-limit", "1_000"),
-        ("bench", "--kset", "+33"), ("bench", "--kset", "33,0_65"),
     ])
     def test_integers_must_be_canonical_decimals(self, args):
         res = run_cli(*args)

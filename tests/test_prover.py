@@ -6,7 +6,7 @@ from cm7prime import prover
 from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import XZPoint
-from cm7prime.prover import VerdictKind, bench_run, run_pipeline, search
+from cm7prime.prover import VerdictKind, run_pipeline, search
 from cm7prime.prover import test_jk as prove_jk
 
 TABLE_PRIMES_TO_100 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
@@ -61,12 +61,6 @@ class TestPreconditions:
 
 
 class TestRunStats:
-    def test_totals_match_context_counters(self):
-        result = run_pipeline(17)
-        m, s, a, g = result.ctx.op_counts()
-        assert (result.stats.multiplications, result.stats.squarings,
-                result.stats.additions, result.stats.gcd_calls) == (m, s, a, g)
-
     @pytest.mark.parametrize("k, run_counts, verify_counts", [
         (17, (68, 53, 76, 4), (39, 24, 45, 4)),
         (18, (70, 56, 80, 4), (42, 26, 49, 4)),
@@ -118,6 +112,7 @@ class TestRunStats:
         assert stats.elapsed > 0
         assert stats.step2_seconds > 0
         assert stats.step7_seconds > 0
+        assert stats.elapsed >= stats.step2_seconds + stats.step7_seconds
         assert stats.step_reached == 8
 
 
@@ -211,32 +206,3 @@ class TestSearch:
     def test_results_sorted_by_k(self):
         ks = [k for k, _, _ in search(2, 200, 10**4)]
         assert ks == sorted(ks)
-
-
-class TestBenchRun:
-    @pytest.mark.parametrize("k, counts", [
-        (64, (220, 193, 264, 3)),
-        (4099, (12630, 12301, 16404, 3)),
-        (4727, (14556, 14185, 18916, 3)),
-        (6052, (18625, 18160, 24216, 3)),
-    ])
-    def test_counts_are_pinned(self, k, counts):
-        # (mults, squarings, additions, gcd_calls) of the stand-in full run
-        stats = bench_run(k)
-        assert (stats.multiplications, stats.squarings, stats.additions,
-                stats.gcd_calls) == counts
-        assert (stats.step7_multiplications, stats.step7_squarings,
-                stats.step7_additions) == (3 * (k + 1), 2 * (k + 1),
-                                           4 * (k + 1))
-        assert stats.step_reached == 7
-        assert stats.early_exit is False
-        assert stats.step2_seconds > 0 and stats.step7_seconds > 0
-
-    def test_returns_positive_timings(self):
-        stats = bench_run(64)
-        assert stats.step2_seconds > 0 and stats.step7_seconds > 0
-        assert stats.elapsed >= stats.step2_seconds + stats.step7_seconds
-
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            bench_run(1)
