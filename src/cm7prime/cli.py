@@ -1,10 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 = answer produced (a composite verdict is an answer),
-2 = usage error, 3 = I/O or parse error.  Every integer argument is
-read by certificate.read_decimal and every bound is checked by the
-parser, so anything else that raises is a fault of the program and
-exits 1 with a traceback.
+2 = usage error, 3 = I/O or parse error, 1 = a fault of the program.
+Every integer argument is read by certificate.read_decimal and every
+bound is checked by the parser, so exit 1 comes only from an uncaught
+exception, with its traceback; no command exits 1 on purpose.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import math
 import sys
 
 from . import certificate as cert_mod
-from . import jk_sequence, mont_curve, prover, quad_ring, refcheck, sieve
-from . import twist_tables as twists
+from . import jk_sequence, prover
 
 _MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
 _MAX_K = 2**24  # jk_closed squares alpha^(2^i) up to k's top bit
@@ -130,142 +129,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_quad_ring() -> None:
-    from random import Random
-    rng = Random(7)
-    for _ in range(50):
-        x = quad_ring.QuadInt(rng.randrange(-99, 99), rng.randrange(-99, 99))
-        y = quad_ring.QuadInt(rng.randrange(-99, 99), rng.randrange(-99, 99))
-        assert quad_ring.qi_norm(quad_ring.qi_mul(x, y)) == \
-            quad_ring.qi_norm(x) * quad_ring.qi_norm(y)
-        assert quad_ring.qi_conj(quad_ring.qi_conj(x)) == x
-    for k in range(1, 40):
-        assert quad_ring.qi_norm(quad_ring.jk_element(k)) == \
-            jk_sequence.jk_closed(k).value
-
-
-def _selftest_jk_sequence() -> None:
-    stream = {jv.k: jv.value for jv in jk_sequence.jk_stream(200)}
-    for k in (1, 2, 3, 4, 50, 137, 200):
-        assert stream[k] == jk_sequence.jk_closed(k).value
-    for ell in (3, 5, 11, 13):
-        residues = list(jk_sequence.jk_mod_stream(ell, 100))
-        for k in (1, 17, 60, 100):
-            assert residues[k - 1] == jk_sequence.jk_closed(k).value % ell
-    assert jk_sequence.period_mod(3) == 8
-    assert jk_sequence.period_mod(5) == 24
-    assert jk_sequence.period_mod(7) == 3
-    for k in range(1, 201):
-        v = jk_sequence.jk_closed(k).value
-        assert jk_sequence.forced_composite(k) == (v % 3 == 0 or v % 5 == 0)
-
-
-def _selftest_twist_tables() -> None:
-    for k in range(2, 2001):  # every twist row is met by k = 72
-        if not jk_sequence.forced_composite(k):
-            choice = twists.select_twist(k)
-            a, (x0, y0) = choice.a, choice.point
-            assert a in twists.TWISTS
-            assert y0 * y0 == x0 ** 3 - 35 * a * a * x0 - 98 * a ** 3
-    for k in range(2, 260):
-        if jk_sequence.forced_composite(k):
-            continue
-        choice = twists.select_twist(k)
-        assert twists.s_membership(choice.a, k)  # also cross-checks tables
-        assert twists.t_membership(choice.a, k)
-
-
-def _selftest_mont_curve() -> None:
-    ctx = mont_curve.ModulusCtx(23)
-    assert mont_curve.sqrt_minus7(ctx) == 4
-    curve, start = mont_curve.montgomerize(-1, 1, 4, ctx)
-    assert (curve.C, start.x, start.z) == (9, 9, 1)
-    final, penultimate, _ = mont_curve.double_chain(start, curve, ctx, 4)
-    assert mont_curve.is_strongly_nonzero(penultimate, ctx)
-    assert mont_curve.is_zero_mod(final, ctx)
-    before = ctx.op_counts()
-    mont_curve.double_chain(start, curve, ctx, 10)
-    after = ctx.op_counts()
-    assert (after[0] - before[0], after[1] - before[1],
-            after[2] - before[2]) == (30, 20, 40)
-
-
-def _selftest_prover() -> None:
-    for k, kind in ((2, prover.VerdictKind.PRIME),
-                    (8, prover.VerdictKind.FORCED_CONGRUENCE),
-                    (11, prover.VerdictKind.NO_SQRT_MINUS7),
-                    (17, prover.VerdictKind.PRIME)):
-        verdict, _ = prover.test_jk(k)
-        assert verdict.kind is kind, k
-    for k in range(2, 60):
-        verdict, _ = prover.test_jk(k)
-        assert verdict.is_prime == refcheck.probable_prime(
-            jk_sequence.jk_closed(k).value), k
-
-
-def _selftest_certificate() -> None:
-    for k in (2, 17, 18):
-        built = cert_mod.build_certificate(k)
-        assert isinstance(built, cert_mod.Certificate)
-        assert cert_mod.parse(cert_mod.serialize(built)) == built
-        ok, stats = cert_mod.verify_certificate(built)
-        assert ok, stats.reason
-        x, y, z = built.q
-        bad = cert_mod.Certificate(built.k, built.n, built.a, built.d,
-                                   built.r, (x, (y + 1) % built.n, z))
-        ok, stats = cert_mod.verify_certificate(bad)
-        assert not ok and stats.reason == "curve-equation"
-
-
-def _selftest_sieve() -> None:
-    report = sieve.sieve_range(30, 5)
-    expected = [k for k in range(1, 31) if k not in {8, 16, 24, 6, 30}]
-    assert sieve.survivors(report) == expected
-    a = sieve.sieve_range(200, 500, engine="python")
-    b = sieve.sieve_range(200, 500, engine="period")
-    assert a == b
-
-
-def _selftest_refcheck() -> None:
-    assert refcheck.trial_division(8327, 100) == 11
-    assert refcheck.trial_division(275, 100) == 5
-    assert refcheck.trial_division(524087, 1000) is None
-    assert refcheck.probable_prime(524087)
-    assert not refcheck.probable_prime(8327)
-    point = refcheck.AffinePoint(1, 8)
-    assert refcheck.weier_scalar_mult(16, point, -1, 23) is None
-    assert refcheck.weier_scalar_mult(8, point, -1, 23) is not None
-    d = 4  # sqrt(-7) mod 23
-    twice = refcheck.alpha_endomorphism(
-        refcheck.alpha_endomorphism(point, -1, d, 23), -1, -d % 23, 23)
-    assert twice == refcheck.weier_scalar_mult(2, point, -1, 23)
-
-
-_SELFTESTS = (
-    ("quad_ring", _selftest_quad_ring),
-    ("jk_sequence", _selftest_jk_sequence),
-    ("twist_tables", _selftest_twist_tables),
-    ("mont_curve", _selftest_mont_curve),
-    ("prover", _selftest_prover),
-    ("certificate", _selftest_certificate),
-    ("sieve", _selftest_sieve),
-    ("refcheck", _selftest_refcheck),
-)
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    failed = 0
-    for name, check in _SELFTESTS:
-        try:
-            check()
-        except Exception as e:  # noqa: BLE001 - report, do not crash
-            failed += 1
-            print(f"{name}: FAIL ({type(e).__name__}: {e})")
-        else:
-            print(f"{name}: PASS")
-    return 1 if failed else 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cm7prime",
@@ -294,9 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a certificate file")
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("selftest", help="run per-module invariant checks")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -33,7 +33,6 @@ CLI_COMMANDS = {
                "--help"},
     "certify": {"k", "--out", "-h", "--help"},
     "verify": {"file", "-h", "--help"},
-    "selftest": {"-h", "--help"},
 }
 
 
@@ -119,10 +118,8 @@ def test_private_names_stay_inside_their_module():
     assert _private_crossings() == PRIVATE_CROSSINGS
 
 
-def test_certificate_imports_nothing_from_prover():
-    # the builder doubles on its own and the verifier alone judges a
-    # certificate, so no verdict of the prover's can leak into one
-    path = Path(cm7prime.__file__).parent / "certificate.py"
+def _package_imports(path: Path) -> set[str]:
+    """The package modules one source file imports from."""
     read = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
@@ -131,4 +128,20 @@ def test_certificate_imports_nothing_from_prover():
                 read.update(alias.name for alias in node.names)
             elif source is not None:
                 read.add(source)
+    return read
+
+
+def test_certificate_imports_nothing_from_prover():
+    # the builder doubles on its own and the verifier alone judges a
+    # certificate, so no verdict of the prover's can leak into one
+    read = _package_imports(Path(cm7prime.__file__).parent / "certificate.py")
     assert read and "prover" not in read
+
+
+def test_no_module_imports_refcheck():
+    # the oracles judge the package by other routes, so no module of it
+    # may lean on them
+    readers = {path.stem
+               for path in Path(cm7prime.__file__).parent.glob("*.py")
+               if "refcheck" in _package_imports(path)}
+    assert readers == set()

@@ -244,15 +244,6 @@ class TestCertifyVerify:
             assert "malformed certificate" in res.stderr
 
 
-class TestSelftest:
-    def test_all_modules_pass(self):
-        res = run_cli("selftest")
-        assert res.returncode == 0
-        lines = res.stdout.splitlines()
-        assert len(lines) == 8
-        assert all(line.endswith(": PASS") for line in lines)
-
-
 class TestParser:
     @pytest.mark.parametrize("args", [
         ("test", "1_7"), ("test", "+17"), ("test", "\u0661\u0667"),
