@@ -56,6 +56,7 @@ _INT_LIKE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 # sys.get_int_max_str_digits() (4300 by default, never below 640)
 _CHUNK = 600
 _BASE = 10 ** _CHUNK
+_LOG10_2_Q64 = 0x4D104D427DE7FBCC  # floor(log10(2) * 2^64)
 # k, a and r: under the digit test of read_decimal, exactly the values of
 # at most 4300 digits, what CPython's default int<->str limit admits
 _SHORT_BITS = 14284
@@ -220,8 +221,16 @@ def verify_certificate(c: Certificate) -> tuple[bool, VerifyStats]:
 
 
 def decimal_digits(n: int) -> int:
-    """len(str(n)) for n >= 0, past the interpreter's int<->str limit too."""
-    return len(_to_decimal(n))
+    """len(str(n)) for n >= 0, from n's bit length and one power of ten.
+
+    With b = n.bit_length(), d = floor((b - 1) * _LOG10_2_Q64 / 2^64)
+    satisfies b log10(2) - 2 < d <= (b - 1) log10(2), so 10^d <= n <
+    10^(d + 2): n has d + 1 digits, or d + 2 when n >= 10^(d + 1).
+    """
+    if n < 10:
+        return 1
+    d = (n.bit_length() - 1) * _LOG10_2_Q64 >> 64
+    return d + 1 + (n >= 10 ** (d + 1))
 
 
 def _to_decimal(n: int) -> str:
@@ -241,7 +250,7 @@ def read_decimal(name: str, text: str, max_bits: int = _SHORT_BITS) -> int:
 
     The one reader of integers from outside the program: certificate
     fields and command-line arguments.  A text longer than any
-    max_bits-bit number is refused before it is converted, in chunks, so
+    max_bits-bit number is refused before it is converted, by halving, so
     the work is bounded by max_bits and no result depends on the
     interpreter's int<->str limit.
     """
@@ -254,11 +263,31 @@ def read_decimal(name: str, text: str, max_bits: int = _SHORT_BITS) -> int:
     if e >= max_bits or (10 ** e).bit_length() > max_bits:
         raise CertificateFormatError(f"{name} has more digits than "
                                      f"{max_bits} bits allow")
-    value = 0
-    for i in range(0, len(digits), _CHUNK):
-        piece = digits[i:i + _CHUNK]
-        value = value * 10 ** len(piece) + int(piece)
+    value = _from_decimal(digits)
     return -value if text[0] == "-" else value
+
+
+def _from_decimal(digits: str) -> int:
+    """int(digits) for ASCII digits, by halving, with products only.
+
+    The value is hi * 10^m + lo, where lo is the last m = _CHUNK * 2^j
+    digits for the largest such m below the length; leaves of at most
+    _CHUNK digits go through int().  Each power 10^(_CHUNK * 2^j) is the
+    square of the one before, so the cost is that of Karatsuba products:
+    CPython 3.11's int() of a long string, and its divmod, are quadratic.
+    """
+    powers = [_BASE]  # powers[j] = 10^(_CHUNK * 2^j)
+    while _CHUNK << len(powers) < len(digits):
+        powers.append(powers[-1] * powers[-1])
+
+    def convert(lo: int, hi: int) -> int:  # the value of digits[lo:hi]
+        if hi - lo <= _CHUNK:
+            return int(digits[lo:hi])
+        j = ((hi - lo - 1) // _CHUNK).bit_length() - 1
+        mid = hi - (_CHUNK << j)
+        return convert(lo, mid) * powers[j] + convert(mid, hi)
+
+    return convert(0, len(digits))
 
 
 def serialize(c: Certificate) -> str:

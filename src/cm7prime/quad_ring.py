@@ -24,9 +24,11 @@ ONE = QuadInt(1, 0)
 
 
 def qi_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    # (u1 + v1 a)(u2 + v2 a) with a^2 = a - 2
+    # (u1 + v1 a)(u2 + v2 a) with a^2 = a - 2, in three products; for
+    # x * x two of them are squarings
     u1, v1, u2, v2 = x.u, x.v, y.u, y.v
-    return QuadInt(u1 * u2 - 2 * v1 * v2, u1 * v2 + u2 * v1 + v1 * v2)
+    uu, vv = u1 * u2, v1 * v2
+    return QuadInt(uu - 2 * vv, (u1 + v1) * (u2 + v2) - uu)
 
 
 def qi_conj(x: QuadInt) -> QuadInt:

@@ -16,14 +16,13 @@ PUBLIC_NAMES = [
     "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
     "MontCurveCtx", "NonInvertibleError", "QuadInt", "RunStats", "SieveReport",
     "TwistChoice", "Verdict", "VerdictKind", "VerifyStats", "XZPoint",
-    "build_certificate", "chi_sqrt_minus7", "double_chain",
-    "forced_composite", "is_strongly_nonzero", "is_zero_mod", "iter_primes",
-    "jacobi_symbol", "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
+    "build_certificate", "double_chain", "forced_composite",
+    "is_strongly_nonzero", "is_zero_mod", "iter_primes", "jacobi_symbol",
+    "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
     "minimal_doubling_exponent", "montgomerize", "parse", "period_mod",
-    "qi_conj", "qi_mul", "qi_norm", "qi_pow", "run_pipeline", "s_membership",
-    "search", "select_twist", "serialize", "sieve_range", "sqrt_minus7",
-    "survivors", "t_membership", "test_jk", "trace", "verify_certificate",
-    "xz_double",
+    "qi_conj", "qi_mul", "qi_norm", "qi_pow", "run_pipeline", "search",
+    "select_twist", "serialize", "sieve_range", "sqrt_minus7", "survivors",
+    "test_jk", "trace", "verify_certificate", "xz_double",
 ]
 
 # subcommand -> its option strings, positionals by name
@@ -58,13 +57,26 @@ def test_cli_subcommands_are_pinned():
     assert commands == CLI_COMMANDS
 
 
-def test_readme_command_block_names_every_subcommand():
+def _readme_section(heading: str) -> str:
+    """The text of README.md under one "## " heading, up to the next."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text(encoding="utf-8").split(
-        "\n## Command line\n", 1)[1]
-    block = section.split("```", 2)[1]
+    text = readme.read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_block_names_every_subcommand():
+    block = _readme_section("Command line").split("```", 2)[1]
     assert set(re.findall(r"^cm7prime (\S+)", block, re.M)) == \
         set(_subparsers())
+
+
+def test_readme_module_table_names_every_module():
+    # the CLI has its own section, and __init__ is the package itself
+    table = re.findall(r"^\| `cm7prime\.(\w+)`",
+                       _readme_section("What is in the box"), re.M)
+    modules = {path.stem
+               for path in Path(cm7prime.__file__).parent.glob("*.py")}
+    assert sorted(table) == sorted(modules - {"__init__", "cli"})
 
 
 # (reader, module._name): every private name one module of the package

@@ -347,6 +347,31 @@ class TestPastTheIntStrLimit:
         assert decimal_digits(jk_closed(14282).value) == 4300
         assert decimal_digits(jk_closed(14283).value) == 4301
 
+    # d = 1..1000, and the d up to 10^5 whose 10^d lies nearest a power of
+    # two (numerators of the convergents of log10 2), where an estimate
+    # of the digit count from the bit length has the least room
+    @pytest.mark.parametrize("ds", [range(1, 1001), (
+        4004, 8651, 12655, 21306, 76573, 97879, 10**5)], ids=["small", "tight"])
+    def test_digit_count_at_powers_of_ten(self, ds):
+        for d in ds:
+            p = 10**d
+            assert decimal_digits(p - 1) == d, d
+            assert decimal_digits(p) == d + 1, d
+            assert decimal_digits(p + 1) == d + 1, d
+
+    @pytest.mark.parametrize("length", [1, 599, 600, 601, 1200, 1201, 4301])
+    def test_decimal_round_trip(self, length):
+        rng = random.Random(length)
+        texts = ["9" * length, "1" + "0" * (length - 1),
+                str(rng.randrange(1, 10)) + "".join(
+                    rng.choice("0123456789") for _ in range(length - 1))]
+        for text in texts + ["-" + t for t in texts]:
+            value = read_decimal("x", text, 4 * length)
+            with unlimited_int_str():
+                assert value == int(text), text[:20]
+                assert str(value) == text, text[:20]
+            assert certificate._to_decimal(value) == text, text[:20]
+
     @pytest.mark.parametrize("limit", [None, "0"], ids=["default", "lifted"])
     def test_non_canonical_message_needs_no_int_conversion(self, limit):
         # the message comes from a pattern, not from int(), so neither it

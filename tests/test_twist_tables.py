@@ -1,6 +1,13 @@
-"""Twist/point selection tables and the quadratic-character machinery."""
+"""Twist/point selection and the derivation of its rows.
+
+The package ships only select_twist and its rows (_ROWS).  The residue
+tables of S_a and T_a, the characters they are read from, and the two
+membership tests live here: they derive and check the rows, and no
+production path calls them.
+"""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +17,115 @@ from cm7prime.jk_sequence import forced_composite, jk_closed
 from cm7prime.refcheck import (AffinePoint, alpha_endomorphism,
                                enumerate_points, weier_scalar_mult)
 from cm7prime.sieve import iter_primes
-from cm7prime.twist_tables import (DELTAS, S_TABLE, T_TABLE, TWISTS,
-                                   chi_sqrt_minus7, jacobi_symbol,
-                                   s_membership, select_twist, t_membership)
+from cm7prime.twist_tables import TWISTS, jacobi_symbol, select_twist
+
+# S_a membership by k mod m.
+S_TABLE: dict[int, tuple[int, frozenset[int]]] = {
+    -1: (3, frozenset({0, 2})),
+    -5: (24, frozenset({0, 2, 4, 5, 7, 9, 12, 13, 16, 18, 21, 22, 23})),
+    -6: (24, frozenset({3, 7, 9, 10, 11, 12, 13, 17, 20, 22})),
+    -17: (144, frozenset({
+        0, 1, 5, 7, 9, 10, 13, 14, 15, 18, 19, 20, 22, 23, 27, 30, 31, 33, 34,
+        36, 42, 43, 44, 45, 49, 50, 53, 56, 61, 62, 63, 66, 67, 68, 70, 71,
+        72, 73, 75, 76, 78, 79, 80, 81, 82, 83, 90, 91, 92, 93, 97, 99, 100,
+        104, 106, 108, 110, 111, 112, 114, 117, 118, 121, 122, 123, 125,
+        126, 128, 129, 133, 135, 136, 137, 138, 139, 141, 143,
+    })),
+    -111: (72, frozenset({
+        2, 4, 6, 9, 14, 15, 18, 20, 22, 23, 25, 30, 33, 34, 35, 37, 38, 39, 41,
+        42, 43, 47, 49, 50, 52, 53, 54, 55, 57, 58, 63, 65, 66, 67, 68, 70,
+    })),
+}
+
+# T_a membership by k mod m; None means every k > 1 belongs.
+T_TABLE: dict[int, tuple[int, frozenset[int]] | None] = {
+    -1: None,
+    -5: (24, frozenset({3, 4, 7, 8, 11, 13, 14, 15, 16, 17, 20, 22})),
+    -6: (24, frozenset({1, 5, 10, 12, 15, 19, 20, 21, 22, 23})),
+    -17: None,
+    -111: (8, frozenset({1, 2, 3, 6})),
+}
+
+
+@dataclass(frozen=True)
+class DeltaTag:
+    """delta_a = rational * alpha^[alpha] * sqrt(-7)^[sqrt7], symbolically."""
+
+    rational: int
+    alpha: bool
+    sqrt7: bool
+
+
+DELTAS: dict[int, DeltaTag] = {
+    -1: DeltaTag(1, True, False),
+    -5: DeltaTag(-5, True, False),
+    -6: DeltaTag(-3, False, True),
+    -17: DeltaTag(1, True, False),
+    -111: DeltaTag(-3, False, False),
+}
+
+
+def chi_sqrt_minus7(k: int) -> int:
+    """Quadratic character of j_k modulo sqrt(-7), as +-1.
+
+    alpha = 4 (mod sqrt(-7)), so j_k = 1 + 2^(2k+1) (mod 7) up to the
+    identification of the residue field with Z/7.  The value only
+    depends on k mod 3 (+1 iff k = 1 mod 3) because 2^3 = 1 (mod 7);
+    both routes are evaluated and compared.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    val = jacobi_symbol((1 + pow(2, 2 * k + 1, 7)) % 7, 7)
+    want = 1 if k % 3 == 1 else -1
+    if val != want:
+        raise RuntimeError(f"character table broken at k={k}: {val} vs {want}")
+    return val
+
+
+def _check(a: int, k: int) -> None:
+    if a not in TWISTS:
+        raise ValueError(f"a must be one of {TWISTS}")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+
+
+def s_membership(a: int, k: int) -> bool:
+    """Whether k is in S_a, i.e. jacobi(a, J_k) * chi(k) = +1.
+
+    A jacobi value of 0 (a shares a factor with J_k) means not a member.
+    The character computation is cross-checked against the frozen
+    residue table on every call.
+    """
+    _check(a, k)
+    computed = jacobi_symbol(a, jk_closed(k).value) * chi_sqrt_minus7(k) == 1
+    modulus, residues = S_TABLE[a]
+    tabled = (k % modulus) in residues
+    if computed != tabled:
+        raise RuntimeError(f"S table disagrees with characters at a={a}, k={k}")
+    return tabled
+
+
+def t_membership(a: int, k: int) -> bool:
+    """Whether k is in T_a, i.e. (delta_a / j_k) = -1.
+
+    The symbol splits as jacobi(rational, J_k) times (alpha/j_k) = -1
+    when delta_a carries an alpha factor.  delta_{-6} involves sqrt(-7),
+    whose character is not computable this way, so for a = -6 the frozen
+    table is authoritative on its own (test_minus6_against_point_order_oracle
+    validates it by enumerating point orders on a small prime fibre).
+    """
+    _check(a, k)
+    entry = T_TABLE[a]
+    tabled = True if entry is None else (k % entry[0]) in entry[1]
+    tag = DELTAS[a]
+    if not tag.sqrt7:
+        sym = jacobi_symbol(tag.rational, jk_closed(k).value)
+        if tag.alpha:
+            sym = -sym  # (alpha / j_k) = -1 for all k > 1
+        computed = sym == -1
+        if computed != tabled:
+            raise RuntimeError(f"T table disagrees with characters at a={a}, k={k}")
+    return tabled
 
 
 class TestSelectTwist:
