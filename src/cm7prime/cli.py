@@ -108,6 +108,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return _emit(cert_mod.serialize(built), args.out)
 
 
+def _check_k_line(text: str) -> None:
+    """Refuse a k above _MAX_K before parse converts N and the point.
+
+    parse bounds those fields by k + 3 bits, so a huge k would let them
+    fill the file; the k= line is read here, by the same reader.
+    """
+    start = text.find("\n") + 1
+    end = text.find("\n", start)
+    if start and end > start and text.startswith("k=", start):
+        k = cert_mod.read_decimal("k", text[start + 2:end])
+        if k > _MAX_K:
+            raise cert_mod.CertificateFormatError(
+                f"k must be <= {_MAX_K}, the largest k this program accepts")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     limit = _max_certificate_chars()
     try:
@@ -117,6 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise cert_mod.CertificateFormatError(
                 f"longer than {limit} characters, the most a certificate "
                 f"with k <= {_MAX_K} takes")
+        _check_k_line(text)
         cert = cert_mod.parse(text)
     except OSError as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)

@@ -14,11 +14,27 @@ f = 4xz, so this is the classical Montgomery doubling; it costs exactly
 2 squarings, 3 multiplications and 4 additions, which the ModulusCtx
 counters record.  Every verdict-affecting cost claim in this package is
 an assertion over those counters, so every operation here is counted.
-xz_double counts each one as it goes.  double_chain, the hot loop, does
-the same arithmetic on local ints and adds count * (2, 3, 4) in one go:
-that is exact because a step's operation sequence is straight-line and
-never depends on the values (z = 0 included), and a test pins its
-points and counter deltas to a loop of xz_double.
+xz_double counts each one as it goes, and is the reference.
+
+double_chain, the hot loop, runs large chains on two lanes, one per CPU
+core.  Of a step's five products only three depend on each other (s and
+t, then s t and C f, then f (t + C f)), so lane A, the caller, computes
+s and x' = s t while lane B, a child process forked for the chain,
+computes t, f, C f and z' = f (t + C f).  A step then costs about one
+squaring and two multiplications of wall time, against 2S + 3M: at
+3779 bits the bound is about 0.61, and a full chain measured 0.67
+(README, Performance notes).  The lanes swap values through a shared
+anonymous mmap and spin-wait on each other's sequence word; the slot
+protocol, and why it needs x86-64, is in _two_lanes.  The arithmetic is
+xz_double's, and the chain adds count * (2, 3, 4) to the counters in
+one go: that is exact because a step's operation sequence is
+straight-line and never depends on the values (z = 0 included), and
+tests pin the lanes' points and counter deltas to a loop of xz_double.  Below
+_LANE_MIN_BITS or _LANE_MIN_COUNT, where a fork and the swaps cost more
+than the second core saves, and wherever lanes cannot run (no fork, not
+x86-64, one usable CPU, a second thread, or a worker of search's
+process pool, which already holds a core), double_chain loops over
+xz_double itself.
 
 Every product is reduced by ModulusCtx._reduce.  J_k = 2^e + c with
 e = k + 2 and |c| about 2^(e/2), and 2^e = -c (mod N), so a product t
@@ -36,6 +52,8 @@ modulus.  Which path reduces never changes a value or a count.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 
@@ -43,6 +61,16 @@ from dataclasses import dataclass
 # further big-int steps each cost an interpreter dispatch; the measured
 # crossover lies at e = 820-860 (README, Performance notes).
 _FOLD_MIN_BITS = 850
+
+# double_chain's lanes pay a fork (about 1.5 ms) and two value swaps per
+# step and lane, so they run only on moduli of at least _LANE_MIN_BITS
+# bits and chains of at least _LANE_MIN_COUNT doublings; the measured
+# crossovers lie at 700-800 bits and 64-512 doublings (README,
+# Performance notes), and these keep a margin above them.
+_LANE_MIN_BITS = 1200
+_LANE_MIN_COUNT = 512
+_lanes_ok: bool | None = None  # decided by _lanes_available on first use
+_SPINS_PER_CHECK = 4096  # sequence-word reads between liveness checks
 
 
 class NonInvertibleError(ArithmeticError):
@@ -324,41 +352,198 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     early: z = 0 is absorbing under xz_double, so callers read "some
     iterate before the last is zero" as penultimate.z == 0.
 
-    One loop over local ints does xz_double's arithmetic step for step
-    and adds its 2 squarings, 3 multiplications and 4 additions per step
-    to ctx's counters when the chain ends; xz_double is the reference.
+    From _LANE_MIN_BITS bits and _LANE_MIN_COUNT doublings on, where
+    _lanes_available, the chain runs on two lanes (_two_lanes): the
+    caller computes (x+z)^2 and x' = s t, a forked child (x-z)^2, C f
+    and z', and the chain adds its 2 squarings, 3 multiplications and
+    4 additions per step to ctx's counters when it ends.  Both crossovers
+    were measured on a 2-core x86-64 host, as two-lane over one-lane time
+    (medians of 15 interleaved runs): full chains read 1.09 at 600 bits,
+    0.95 at 800, 0.84 at 1200 and 0.67 at 3779; 512 doublings at 1200
+    bits read 0.96, and 64 and 128 doublings at 3779 bits 0.99 and 0.84.
+    Everywhere else the chain is a loop of xz_double, the reference.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if keep_at is not None and not 0 <= keep_at <= count:
         raise ValueError("keep_at out of range")
-    n = ctx.N
-    red = ctx._reduce
-    c_coef = curve.C % n
-    x, z = P.x % n, P.z % n
+    if (count >= _LANE_MIN_COUNT and ctx.N.bit_length() >= _LANE_MIN_BITS
+            and _lanes_available()):
+        return _two_lanes(P, curve.C, ctx, count, keep_at)
     kept = P if keep_at == 0 else None
+    prev = cur = P
     for i in range(1, count + 1):
-        px, pz = x, z
-        u = x + z
-        if u >= n:
-            u -= n
-        s = red(u * u)
-        u = x - z  # squared at once, so its sign needs no fix
-        t = red(u * u)
-        f = s - t  # 4xz
-        if f < 0:
-            f += n
-        u = t + red(c_coef * f)
-        if u >= n:
-            u -= n
-        x, z = red(s * t), red(f * u)
+        prev, cur = cur, xz_double(cur, curve, ctx)
         if i == keep_at:
-            kept = XZPoint(x, z)
+            kept = cur
+    return cur, prev, kept
+
+
+def _lane_obstacle() -> str | None:
+    """Why this process cannot run two lanes, or None if it can."""
+    if not hasattr(os, "fork"):
+        return "os.fork is missing"
+    if os.uname().machine.lower() not in ("x86_64", "amd64"):
+        return f"not x86-64 (machine {os.uname().machine!r})"
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return "only one usable CPU"
+    return None
+
+
+def _lanes_available() -> bool:
+    """Whether double_chain may fork a lane now.
+
+    What the machine allows is decided once and cached.  A process with
+    a second thread forks no lane, since the child could inherit a lock
+    that thread holds, hang on it, and leave the caller spinning.
+    """
+    global _lanes_ok
+    if _lanes_ok is None:
+        _lanes_ok = _lane_obstacle() is None
+    return _lanes_ok and threading.active_count() == 1
+
+
+def _no_lanes() -> None:
+    """Turn lanes off in this process: search's pool initializer."""
+    global _lanes_ok
+    _lanes_ok = False
+
+
+class _LaneLost(RuntimeError):
+    """The other lane of a doubling chain ended before the chain did."""
+
+
+def _await(words, at: int, want: int, gone) -> None:
+    """Spin until words[at] >= want.
+
+    Every _SPINS_PER_CHECK reads, gone() says whether the other lane has
+    ended; if it has and the word is still short, raise _LaneLost.
+    """
+    spins = 0
+    while words[at] < want:
+        spins += 1
+        if spins == _SPINS_PER_CHECK:
+            spins = 0
+            if gone():
+                if words[at] >= want:  # it published, then ended
+                    return
+                raise _LaneLost("the other doubling lane ended mid-chain")
+
+
+def _two_lanes(P: XZPoint, c_coef: int, ctx: ModulusCtx, count: int,
+               keep_at: int | None) -> tuple[XZPoint, XZPoint, XZPoint | None]:
+    """double_chain on two lanes: this process (A) and a forked child (B).
+
+    Step i: A computes s = (x+z)^2 and publishes it, takes t, computes
+    x' = s t and publishes it, then takes z'.  B computes t = (x-z)^2
+    and publishes it, takes s, computes f = s - t, C f and
+    z' = f (t + C f) and publishes it, then takes x' for step i + 1.
+
+    Shared memory: two sequence words, A's at words[0] and B's at
+    words[8] (a cache line apart), then one slot per value: s, x', t, z'.
+    A lane writes a value into its slot and then sets its word to 2i - 1
+    (s or t of step i) or 2i (x' or z'); the reader waits until the word
+    is >= that number and then reads the slot.  Words only grow, and a
+    lane can be one value ahead, so the test is >=, not ==.  No slot is
+    rewritten before it is read: A writes s of step i + 1 only after it
+    has taken z' of step i, which B publishes after taking s of step i;
+    A writes x' of step i + 1 only after taking t of step i + 1, which
+    B publishes after taking x' of step i; and symmetrically for t and
+    z'.  With one slot per lane, x' would overwrite s before B read it.
+
+    Reading a slot once its word says so relies on the other core seeing
+    the slot's bytes before the word, that is, on stores becoming visible
+    in program order (x86-64's TSO); an aligned 8-byte word is read and
+    written whole.  _lane_obstacle refuses other machines.
+
+    B leaves only through os._exit, so it never flushes stdio buffers it
+    inherited, and it exits once this process is gone (its parent pid
+    changes).  A raises _LaneLost if B dies mid-chain, and kills and
+    reaps B on every way out.
+    """
+    import mmap  # not at module level, to keep import cm7prime small
+    import signal
+
+    n, red = ctx.N, ctx._reduce
+    c_coef %= n
+    x, z = P.x % n, P.z % n
+    size = (n.bit_length() + 7) // 8  # bytes per residue
+    span = -(-size // 64) * 64  # slots start on cache lines
+    s_at, x_at, t_at, z_at = (128 + j * span for j in range(4))
+    parent, pid, reaped = os.getpid(), 0, False
+
+    def gone() -> bool:
+        nonlocal reaped
+        reaped = os.waitpid(pid, os.WNOHANG)[0] != 0
+        return reaped
+
+    # an anonymous mmap is shared with the forked child
+    with (mmap.mmap(-1, 128 + 4 * span) as mem, memoryview(mem) as raw,
+          raw.cast("Q") as words):
+        try:
+            pid = os.fork()
+            if pid == 0:  # lane B
+                status = 1
+                try:
+                    _lane_b(mem, words, red, n, c_coef, x, z, count, size,
+                            (s_at, x_at, t_at, z_at),
+                            lambda: os.getppid() != parent)
+                    status = 0
+                finally:
+                    os._exit(status)
+            kept = P if keep_at == 0 else None
+            for i in range(1, count + 1):
+                px, pz = x, z
+                u = x + z
+                if u >= n:
+                    u -= n
+                s = red(u * u)
+                mem[s_at:s_at + size] = s.to_bytes(size, "little")
+                words[0] = 2 * i - 1
+                _await(words, 8, 2 * i - 1, gone)
+                x = red(s * int.from_bytes(mem[t_at:t_at + size], "little"))
+                mem[x_at:x_at + size] = x.to_bytes(size, "little")
+                words[0] = 2 * i
+                _await(words, 8, 2 * i, gone)
+                z = int.from_bytes(mem[z_at:z_at + size], "little")
+                if i == keep_at:
+                    kept = XZPoint(x, z)
+        finally:
+            if pid and not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     ctx.squarings += 2 * count
     ctx.multiplications += 3 * count
     ctx.additions += 4 * count
     prev = P if count == 1 else XZPoint(px, pz)
     return XZPoint(x, z), prev, kept
+
+
+def _lane_b(mem, words, red, n: int, c_coef: int, x: int, z: int,
+            count: int, size: int, slots: tuple[int, int, int, int],
+            gone) -> None:
+    """Lane B of _two_lanes: t, C f and z' of every step."""
+    s_at, x_at, t_at, z_at = slots
+    for i in range(1, count + 1):
+        if i > 1:
+            _await(words, 0, 2 * i - 2, gone)
+            x = int.from_bytes(mem[x_at:x_at + size], "little")
+        u = x - z  # squared at once, so its sign needs no fix
+        t = red(u * u)
+        mem[t_at:t_at + size] = t.to_bytes(size, "little")
+        words[8] = 2 * i - 1
+        _await(words, 0, 2 * i - 1, gone)
+        f = int.from_bytes(mem[s_at:s_at + size], "little") - t  # 4xz
+        if f < 0:
+            f += n
+        u = t + red(c_coef * f)
+        if u >= n:
+            u -= n
+        z = red(f * u)
+        mem[z_at:z_at + size] = z.to_bytes(size, "little")
+        words[8] = 2 * i
 
 
 def is_strongly_nonzero(P: XZPoint, ctx: ModulusCtx) -> bool:

@@ -15,7 +15,7 @@ have order exactly 2^(k+1) mod every prime factor.  Steps:
   4. twist selection by k mod 72,
   5. Montgomery constants r, B, C,
   6. start point [B(x0 - r) : 1],
-  7. k+1 doublings,
+  7. k+1 doublings, on two CPU cores when it can (double_chain),
   8. the order-2^(k+1) check.
 
 Every verdict is deterministic; all modular work flows through one
@@ -33,8 +33,8 @@ from enum import Enum
 
 from .jk_sequence import forced_composite, jk_closed
 from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
-                         double_chain, is_strongly_nonzero, is_zero_mod,
-                         montgomerize, sqrt_minus7)
+                         _no_lanes, double_chain, is_strongly_nonzero,
+                         is_zero_mod, montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
 from .twist_tables import select_twist
 
@@ -159,7 +159,8 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     A sieve_limit below 3 sieves by no prime, so every k is tested.
     Results are identical for any worker count; workers > 1 spreads
     candidates over at most min(workers, candidates, os.cpu_count())
-    processes.
+    processes, each of which already holds a core, so their chains run
+    on one lane.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -173,6 +174,7 @@ def search(k_min: int, k_max: int, sieve_limit: int,
         runs = map(test_jk, ks)
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_no_lanes) as pool:
             runs = list(pool.map(test_jk, ks, chunksize=8))
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]

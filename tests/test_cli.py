@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,23 @@ class TestCertifyVerify:
                                 "99 characters, the most a certificate with "
                                 "k <= 17 takes\n")
         assert sizes == [limit + 1] * 3
+
+    def test_k_above_the_cap_is_refused_before_n_is_read(self, tmp_path,
+                                                          capsys):
+        # N and the point may have k + 3 bits, so parsing a 1.6-million
+        # digit N took 2.15 s before this check; it is never converted
+        n = "1" + "0" * 1_600_000
+        path = tmp_path / "huge_k.txt"
+        path.write_text(f"JKCERT 1\nk=99999999\nN={n}\na=-1\nd=1\nr=3\n"
+                        f"x=1\ny=1\nz=1\n")
+        t = time.perf_counter()
+        assert cli.main(["verify", str(path)]) == 3
+        assert time.perf_counter() - t < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed certificate: k must be <= "
+                                f"{cli._MAX_K}, the largest k this program "
+                                "accepts\n")
 
     def test_garbage_file_is_parse_error(self, tmp_path):
         path = tmp_path / "garbage.txt"

@@ -1,6 +1,13 @@
 """Counted modular arithmetic and x-only doubling."""
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,8 +20,11 @@ from cm7prime.mont_curve import (_FOLD_MIN_BITS, ModulusCtx, MontCurveCtx,
                                  NonInvertibleError, XZPoint, double_chain,
                                  is_strongly_nonzero, is_zero_mod,
                                  montgomerize, sqrt_minus7, xz_double)
+from cm7prime.prover import search
 from cm7prime.sieve import iter_primes
 from cm7prime.twist_tables import jacobi_symbol, select_twist
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ODD_MODULUS = st.integers(min_value=1, max_value=2**256).map(lambda h: 2 * h + 1)
 
@@ -435,3 +445,212 @@ class TestIsZeroMod:
         assert is_zero_mod(XZPoint(4, 0), ctx)
         assert is_zero_mod(XZPoint(4, 23), ctx)
         assert not is_zero_mod(XZPoint(4, 1), ctx)
+
+
+_LANE_OBSTACLE = mont_curve._lane_obstacle()
+needs_lanes = pytest.mark.skipif(
+    _LANE_OBSTACLE is not None,
+    reason=f"two doubling lanes cannot run here: {_LANE_OBSTACLE}")
+
+
+def _python(code: str, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter running code, with the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+@pytest.fixture
+def lane_calls(monkeypatch):
+    """Force the lane crossovers down to any chain; count _two_lanes calls."""
+    calls = []
+    two_lanes = mont_curve._two_lanes
+
+    def spy(*args):
+        calls.append(args[3])  # count
+        return two_lanes(*args)
+
+    monkeypatch.setattr(mont_curve, "_LANE_MIN_BITS", 0)
+    monkeypatch.setattr(mont_curve, "_LANE_MIN_COUNT", 1)
+    monkeypatch.setattr(mont_curve, "_two_lanes", spy)
+    return calls
+
+
+class TestLanes:
+    def test_crossovers_gate_the_lanes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mont_curve, "_two_lanes",
+                            lambda *args: calls.append(args[3]))
+        monkeypatch.setattr(mont_curve, "_lanes_ok", True)
+        low, count = mont_curve._LANE_MIN_BITS, mont_curve._LANE_MIN_COUNT
+        curve = MontCurveCtx(0, 0, 1, 5)
+        for bits, n_steps in ((low - 1, count), (low, count - 1),
+                              (low, count)):
+            ctx = ModulusCtx((1 << (bits - 1)) + 1)  # bits bits
+            double_chain(XZPoint(3, 1), curve, ctx, n_steps)
+        assert calls == [count]
+        monkeypatch.setattr(mont_curve, "_lanes_ok", False)
+        double_chain(XZPoint(3, 1), curve, ctx, count)
+        assert calls == [count]
+
+    def test_a_second_thread_keeps_the_lanes_shut(self, lane_calls):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            ctx = ModulusCtx(23)
+            curve, start = montgomerize(-1, 1, 4, ctx)
+            double_chain(start, curve, ctx, 10)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert lane_calls == []
+
+    @needs_lanes
+    @pytest.mark.parametrize("k", [17, 18, 1129, 2828])
+    def test_two_lanes_match_xz_double_for_counts_to_300(self, k,
+                                                         lane_calls):
+        n = jk_closed(k).value
+        ctx = ModulusCtx(n)
+        tw = select_twist(k)
+        curve, start = montgomerize(tw.a, tw.point[0], sqrt_minus7(ctx), ctx)
+        points = _reference_chain(start, curve, ModulusCtx(n), 300)
+        for count in range(1, 301):
+            keep_at = (0, count // 2, count)[count % 3]
+            ctx = ModulusCtx(n)
+            got = double_chain(start, curve, ctx, count, keep_at)
+            assert got == (points[count], points[count - 1],
+                           points[keep_at]), (k, count, keep_at)
+            assert ctx.op_counts() == (3 * count, 2 * count, 4 * count, 0)
+        assert lane_calls == list(range(1, 301))
+
+    @needs_lanes
+    def test_two_lanes_follow_a_chain_into_zero(self, lane_calls):
+        ctx = ModulusCtx(23)
+        curve, start = montgomerize(-1, 1, 4, ctx)  # order 16
+        points = _reference_chain(start, curve, ModulusCtx(23), 10)
+        assert points[4].z == 0 and points[3].z != 0
+        got = double_chain(start, curve, ModulusCtx(23), 10, keep_at=4)
+        assert got == (points[10], points[9], points[4])
+        assert lane_calls == [10]
+
+    @needs_lanes
+    def test_an_exception_mid_chain_leaves_no_child(self, lane_calls):
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        ctx = ModulusCtx(jk_closed(3779).value)
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(Stop):
+                double_chain(XZPoint(3, 1), MontCurveCtx(0, 0, 1, 5), ctx,
+                             10**6)  # about a minute on two lanes
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert lane_calls == [10**6]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # killed and reaped
+        assert ctx.op_counts() == (0, 0, 0, 0)
+
+    @needs_lanes
+    def test_a_dead_lane_raises_instead_of_hanging(self, lane_calls):
+        parent = os.getpid()
+
+        class LaneDies(ModulusCtx):
+            def _reduce(self, t):
+                if os.getpid() != parent:
+                    raise RuntimeError("lane B fails")
+                return super()._reduce(t)
+
+        ctx = LaneDies(jk_closed(1129).value)
+        with pytest.raises(mont_curve._LaneLost):
+            double_chain(XZPoint(3, 1), MontCurveCtx(0, 0, 1, 5), ctx, 50)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_lanes
+    def test_a_killed_parents_lane_exits_within_two_seconds(self):
+        code = (
+            "import os\n"
+            "from cm7prime import mont_curve as mc\n"
+            "from cm7prime.jk_sequence import jk_closed\n"
+            "fork = os.fork\n"
+            "def spy():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = spy\n"
+            "mc._LANE_MIN_BITS, mc._LANE_MIN_COUNT = 0, 1\n"
+            "ctx = mc.ModulusCtx(jk_closed(3779).value)\n"
+            "mc.double_chain(mc.XZPoint(3, 1), mc.MontCurveCtx(0, 0, 1, 5),"
+            " ctx, 10**6)\n")
+        with _python(code) as proc:
+            try:
+                lane = int(proc.stdout.readline())
+                time.sleep(0.3)  # both lanes are mid-chain
+                assert _running(lane)
+            finally:
+                proc.kill()
+                proc.wait()
+        deadline = time.monotonic() + 2.0
+        while _running(lane) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(lane), "the orphaned lane kept running"
+
+    @needs_lanes
+    def test_search_pool_workers_open_no_lane(self, monkeypatch, tmp_path):
+        # the workers inherit the forced crossovers and a spy that logs
+        # each lane to a file; their initializer turns lanes off
+        log = tmp_path / "lanes.txt"
+        two_lanes = mont_curve._two_lanes
+
+        def spy(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return two_lanes(*args)
+
+        monkeypatch.setattr(mont_curve, "_LANE_MIN_BITS", 0)
+        monkeypatch.setattr(mont_curve, "_LANE_MIN_COUNT", 1)
+        monkeypatch.setattr(mont_curve, "_two_lanes", spy)
+        log.write_text("")
+        pooled = search(2, 400, 10**4, workers=2)
+        assert log.read_text() == ""
+        serial = search(2, 400, 10**4, workers=1)  # the same chains, here
+        assert set(log.read_text().split()) == {str(os.getpid())}
+
+        assert [(k, v, s.multiplications, s.squarings, s.additions,
+                 s.gcd_calls) for k, v, s in pooled] == \
+            [(k, v, s.multiplications, s.squarings, s.additions,
+              s.gcd_calls) for k, v, s in serial]
+
+    def test_import_loads_neither_mmap_nor_platform(self):
+        code = ("import sys\n"
+                "import cm7prime\n"
+                "print('mmap' in sys.modules, 'platform' in sys.modules)\n")
+        with _python(code) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out == "False False\n"
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
