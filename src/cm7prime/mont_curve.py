@@ -356,7 +356,11 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     _lanes_available, the chain runs on two lanes (_two_lanes): the
     caller computes (x+z)^2 and x' = s t, a forked child (x-z)^2, C f
     and z', and the chain adds its 2 squarings, 3 multiplications and
-    4 additions per step to ctx's counters when it ends.  Both crossovers
+    4 additions per step to ctx's counters when it ends.  Each value has
+    its own shared slot, so none is overwritten before the other lane
+    has read it, and a slot is read once the writer's sequence word says
+    so, which relies on x86-64's store order; _two_lanes gives the
+    argument.  Both crossovers
     were measured on a 2-core x86-64 host, as two-lane over one-lane time
     (medians of 15 interleaved runs): full chains read 1.09 at 600 bits,
     0.95 at 800, 0.84 at 1200 and 0.67 at 3779; 512 doublings at 1200
