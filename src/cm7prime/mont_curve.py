@@ -20,21 +20,15 @@ double_chain, the hot loop, runs large chains on two lanes, one per CPU
 core.  Of a step's five products only three depend on each other (s and
 t, then s t and C f, then f (t + C f)), so lane A, the caller, computes
 s and x' = s t while lane B, a child process forked for the chain,
-computes t, f, C f and z' = f (t + C f).  A step then costs about one
-squaring and two multiplications of wall time, against 2S + 3M: at
-3779 bits the bound is about 0.61, and a full chain measured 0.67
-(README, Performance notes).  The lanes swap values through a shared
-anonymous mmap and spin-wait on each other's sequence word; the slot
-protocol, and why it needs x86-64, is in _two_lanes.  The arithmetic is
-xz_double's, and the chain adds count * (2, 3, 4) to the counters in
-one go: that is exact because a step's operation sequence is
-straight-line and never depends on the values (z = 0 included), and
-tests pin the lanes' points and counter deltas to a loop of xz_double.  Below
-_LANE_MIN_BITS or _LANE_MIN_COUNT, where a fork and the swaps cost more
-than the second core saves, and wherever lanes cannot run (no fork, not
-x86-64, one usable CPU, a second thread, or a worker of search's
-process pool, which already holds a core), double_chain loops over
-xz_double itself.
+computes t, f, C f and z' = f (t + C f), and a step costs about one
+squaring and two multiplications of wall time against 2S + 3M.  The
+lanes swap values through a shared anonymous mmap (_two_lanes).  The
+arithmetic is xz_double's, and the chain adds count * (2, 3, 4) to the
+counters in one go: that is exact because a step's operation sequence
+is straight-line and never depends on the values (z = 0 included), and
+tests pin the lanes' points and counter deltas to a loop of xz_double.
+double_chain names the gates that open the lanes; behind any closed
+one it loops over xz_double itself.
 
 Every product is reduced by ModulusCtx._reduce.  J_k = 2^e + c with
 e = k + 2 and |c| about 2^(e/2), and 2^e = -c (mod N), so a product t
@@ -51,8 +45,10 @@ modulus.  Which path reduces never changes a value or a count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -62,14 +58,12 @@ from dataclasses import dataclass
 # crossover lies at e = 820-860 (README, Performance notes).
 _FOLD_MIN_BITS = 850
 
-# double_chain's lanes pay a fork (about 1.5 ms) and two value swaps per
-# step and lane, so they run only on moduli of at least _LANE_MIN_BITS
-# bits and chains of at least _LANE_MIN_COUNT doublings; the measured
-# crossovers lie at 700-800 bits and 64-512 doublings (README,
-# Performance notes), and these keep a margin above them.
+# double_chain's lanes pay a fork and two value swaps per step and lane,
+# so they run only on moduli of at least _LANE_MIN_BITS bits and chains
+# of at least _LANE_MIN_COUNT doublings, with a margin above the measured
+# crossovers (README, Performance notes).
 _LANE_MIN_BITS = 1200
 _LANE_MIN_COUNT = 512
-_lanes_ok: bool | None = None  # decided by _lanes_available on first use
 _SPINS_PER_CHECK = 4096  # sequence-word reads between liveness checks
 
 
@@ -190,12 +184,12 @@ class ModulusCtx:
         pipeline exponent (N+1)/4 with N = J_k this costs k + o(k) counted
         multiplications plus squarings: about bitlen squarings and
         bitlen/(width+1) + 2^(width-1) multiplications.  Hand-rolled on
-        purpose: the builtin pow cannot report counts.  Like double_chain,
-        one loop over local ints reads the exponent's bits from bin(),
-        reduces each product by _reduce (the fold from _FOLD_MIN_BITS bits
-        on, plain % below) and adds its squarings and multiplications to
-        the counters at the end; the counts are those of the same ladder
-        done with sqr and mul.
+        purpose: the builtin pow cannot report counts.  One loop over
+        local ints reads the exponent's bits from bin(), reduces each
+        product by _reduce (the fold from _FOLD_MIN_BITS bits on, plain %
+        below) and adds its squarings and multiplications to the counters
+        at the end; the counts are those of the same ladder done with sqr
+        and mul.
         """
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
@@ -352,20 +346,13 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     early: z = 0 is absorbing under xz_double, so callers read "some
     iterate before the last is zero" as penultimate.z == 0.
 
-    From _LANE_MIN_BITS bits and _LANE_MIN_COUNT doublings on, where
-    _lanes_available, the chain runs on two lanes (_two_lanes): the
-    caller computes (x+z)^2 and x' = s t, a forked child (x-z)^2, C f
-    and z', and the chain adds its 2 squarings, 3 multiplications and
-    4 additions per step to ctx's counters when it ends.  Each value has
-    its own shared slot, so none is overwritten before the other lane
-    has read it, and a slot is read once the writer's sequence word says
-    so, which relies on x86-64's store order; _two_lanes gives the
-    argument.  Both crossovers
-    were measured on a 2-core x86-64 host, as two-lane over one-lane time
-    (medians of 15 interleaved runs): full chains read 1.09 at 600 bits,
-    0.95 at 800, 0.84 at 1200 and 0.67 at 3779; 512 doublings at 1200
-    bits read 0.96, and 64 and 128 doublings at 3779 bits 0.99 and 0.84.
-    Everywhere else the chain is a loop of xz_double, the reference.
+    The chain runs on two lanes (_two_lanes) only when every gate is
+    open: N has at least _LANE_MIN_BITS bits, the chain has at least
+    _LANE_MIN_COUNT doublings, _lane_obstacle finds os.fork, x86-64 and
+    two usable CPUs, and _lanes_available finds one thread in a process
+    that multiprocessing did not start.  Otherwise the chain is a loop
+    of xz_double, the reference.  Either way ctx's counters grow by
+    2 squarings, 3 multiplications and 4 additions per step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -383,6 +370,7 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     return cur, prev, kept
 
 
+@functools.cache
 def _lane_obstacle() -> str | None:
     """Why this process cannot run two lanes, or None if it can."""
     if not hasattr(os, "fork"):
@@ -399,20 +387,16 @@ def _lane_obstacle() -> str | None:
 def _lanes_available() -> bool:
     """Whether double_chain may fork a lane now.
 
-    What the machine allows is decided once and cached.  A process with
-    a second thread forks no lane, since the child could inherit a lock
-    that thread holds, hang on it, and leave the caller spinning.
+    A process with a second thread forks no lane, since the child could
+    inherit a lock that thread holds, hang on it, and leave the caller
+    spinning.  Nor does a process that multiprocessing started, such as
+    a pool worker: its siblings hold the other cores.  multiprocessing is
+    looked up, never imported, since a process that has not loaded it
+    was not started by it.
     """
-    global _lanes_ok
-    if _lanes_ok is None:
-        _lanes_ok = _lane_obstacle() is None
-    return _lanes_ok and threading.active_count() == 1
-
-
-def _no_lanes() -> None:
-    """Turn lanes off in this process: search's pool initializer."""
-    global _lanes_ok
-    _lanes_ok = False
+    mp = sys.modules.get("multiprocessing")
+    return (_lane_obstacle() is None and threading.active_count() == 1
+            and (mp is None or mp.parent_process() is None))
 
 
 class _LaneLost(RuntimeError):

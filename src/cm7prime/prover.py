@@ -33,8 +33,8 @@ from enum import Enum
 
 from .jk_sequence import forced_composite, jk_closed
 from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
-                         _no_lanes, double_chain, is_strongly_nonzero,
-                         is_zero_mod, montgomerize, sqrt_minus7)
+                         double_chain, is_strongly_nonzero, is_zero_mod,
+                         montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
 from .twist_tables import select_twist
 
@@ -174,7 +174,6 @@ def search(k_min: int, k_max: int, sieve_limit: int,
         runs = map(test_jk, ks)
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_no_lanes) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(test_jk, ks, chunksize=8))
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]

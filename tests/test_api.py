@@ -6,6 +6,7 @@ here first.  So does a new read of one module's private name by another.
 
 import argparse
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -79,12 +80,34 @@ def test_readme_module_table_names_every_module():
     assert sorted(table) == sorted(modules - {"__init__", "cli"})
 
 
+def test_readme_private_names_resolve():
+    # the Performance notes cite thresholds and helpers by their private
+    # names; each must name its home, a package module or a public
+    # class, and still be there
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    prose = re.sub(r"```.*?```", "", readme.read_text(encoding="utf-8"),
+                   flags=re.S)
+    cited = [name for span in re.findall(r"`([^`]+)`", prose)
+             for name in re.findall(r"(?<![\w.])(?:\w+\.)?_[A-Za-z]\w*",
+                                    span)]
+    assert cited
+    for name in cited:
+        home, _, attr = name.rpartition(".")
+        if home in cm7prime.__all__:
+            owner = getattr(cm7prime, home)
+            assert isinstance(owner, type), name
+        else:
+            assert home and (Path(cm7prime.__file__).parent
+                             / f"{home}.py").exists(), name
+            owner = importlib.import_module(f"cm7prime.{home}")
+        assert hasattr(owner, attr), name
+
+
 # (reader, module._name): every private name one module of the package
 # reads from another.  A new crossing fails here: give the name a public
 # spelling, or add it with its reason.
 PRIVATE_CROSSINGS = {
     ("sieve", "jk_sequence._recurrence"),  # the numpy engine, ROADMAP item 3
-    ("prover", "mont_curve._no_lanes"),  # search's pool initializer
 }
 
 

@@ -20,7 +20,7 @@ from cm7prime.mont_curve import (_FOLD_MIN_BITS, ModulusCtx, MontCurveCtx,
                                  NonInvertibleError, XZPoint, double_chain,
                                  is_strongly_nonzero, is_zero_mod,
                                  montgomerize, sqrt_minus7, xz_double)
-from cm7prime.prover import search
+from cm7prime.prover import run_pipeline, search
 from cm7prime.sieve import iter_primes
 from cm7prime.twist_tables import jacobi_symbol, select_twist
 
@@ -484,7 +484,7 @@ class TestLanes:
         calls = []
         monkeypatch.setattr(mont_curve, "_two_lanes",
                             lambda *args: calls.append(args[3]))
-        monkeypatch.setattr(mont_curve, "_lanes_ok", True)
+        monkeypatch.setattr(mont_curve, "_lane_obstacle", lambda: None)
         low, count = mont_curve._LANE_MIN_BITS, mont_curve._LANE_MIN_COUNT
         curve = MontCurveCtx(0, 0, 1, 5)
         for bits, n_steps in ((low - 1, count), (low, count - 1),
@@ -492,7 +492,7 @@ class TestLanes:
             ctx = ModulusCtx((1 << (bits - 1)) + 1)  # bits bits
             double_chain(XZPoint(3, 1), curve, ctx, n_steps)
         assert calls == [count]
-        monkeypatch.setattr(mont_curve, "_lanes_ok", False)
+        monkeypatch.setattr(mont_curve, "_lane_obstacle", lambda: "no")
         double_chain(XZPoint(3, 1), curve, ctx, count)
         assert calls == [count]
 
@@ -607,11 +607,14 @@ class TestLanes:
             time.sleep(0.01)
         assert not _running(lane), "the orphaned lane kept running"
 
-    @needs_lanes
-    def test_search_pool_workers_open_no_lane(self, monkeypatch, tmp_path):
-        # the workers inherit the forced crossovers and a spy that logs
-        # each lane to a file; their initializer turns lanes off
+    @pytest.fixture
+    def lane_log(self, monkeypatch, tmp_path):
+        """Force the lane crossovers down and log each lane's pid to a file.
+
+        Forked pool workers inherit both, so the file logs their lanes too.
+        """
         log = tmp_path / "lanes.txt"
+        log.write_text("")
         two_lanes = mont_curve._two_lanes
 
         def spy(*args):
@@ -622,25 +625,59 @@ class TestLanes:
         monkeypatch.setattr(mont_curve, "_LANE_MIN_BITS", 0)
         monkeypatch.setattr(mont_curve, "_LANE_MIN_COUNT", 1)
         monkeypatch.setattr(mont_curve, "_two_lanes", spy)
-        log.write_text("")
+        return log
+
+    @needs_lanes
+    def test_search_pool_workers_open_no_lane(self, lane_log):
+        # the workers see that multiprocessing started them
         pooled = search(2, 400, 10**4, workers=2)
-        assert log.read_text() == ""
+        assert lane_log.read_text() == ""
         serial = search(2, 400, 10**4, workers=1)  # the same chains, here
-        assert set(log.read_text().split()) == {str(os.getpid())}
+        assert set(lane_log.read_text().split()) == {str(os.getpid())}
 
         assert [(k, v, s.multiplications, s.squarings, s.additions,
                  s.gcd_calls) for k, v, s in pooled] == \
             [(k, v, s.multiplications, s.squarings, s.additions,
               s.gcd_calls) for k, v, s in serial]
 
+    @needs_lanes
+    def test_any_process_pool_worker_opens_no_lane(self, lane_log):
+        # a pool search did not create; fork, so that the workers inherit
+        # the forced crossovers and the spy
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        ks = [17, 18, 28, 38]  # each runs a chain
+        with ProcessPoolExecutor(max_workers=2,
+                                 mp_context=get_context("fork")) as pool:
+            pooled = list(pool.map(run_pipeline, ks))
+        assert lane_log.read_text() == ""
+        serial = [run_pipeline(k) for k in ks]  # the same chains, here
+        assert lane_log.read_text().split() == [str(os.getpid())] * len(ks)
+
+        assert [(r.verdict, r.stats.multiplications, r.stats.squarings,
+                 r.stats.additions, r.stats.gcd_calls) for r in pooled] == \
+            [(r.verdict, r.stats.multiplications, r.stats.squarings,
+              r.stats.additions, r.stats.gcd_calls) for r in serial]
+
     def test_import_loads_neither_mmap_nor_platform(self):
-        code = ("import sys\n"
-                "import cm7prime\n"
-                "print('mmap' in sys.modules, 'platform' in sys.modules)\n")
-        with _python(code) as proc:
-            out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0, err
-        assert out == "False False\n"
+        # nor does a chain load multiprocessing, which _lanes_available
+        # reads; on lanes, it loads mmap
+        chain = ("from cm7prime import mont_curve as mc\n"
+                 "mc._LANE_MIN_BITS, mc._LANE_MIN_COUNT = 0, 1\n"
+                 "mc.double_chain(mc.XZPoint(3, 1),"
+                 " mc.MontCurveCtx(0, 0, 1, 5), mc.ModulusCtx(23), 2)\n")
+        for body, mmap_loaded in (("", False),
+                                  (chain, _LANE_OBSTACLE is None)):
+            code = ("import sys\n"
+                    "import cm7prime\n"
+                    f"{body}"
+                    "print(*(name in sys.modules for name in"
+                    " ('mmap', 'platform', 'multiprocessing')))\n")
+            with _python(code) as proc:
+                out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            assert out == f"{mmap_loaded} False False\n"
 
 
 def _running(pid: int) -> bool:

@@ -168,8 +168,8 @@ class TestSearch:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer=None):
-                sizes.append(max_workers)  # initializer runs in workers only
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
 
             def __enter__(self):
                 return self
