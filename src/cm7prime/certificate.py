@@ -40,11 +40,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .jk_sequence import forced_composite, jk_closed
+from .jk_sequence import forced_composite, jk_closed, trace_mod
 from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, OpCounts,
                          XZPoint, double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomerize, montgomery_constants, projective_rhs)
-from .quad_ring import jk_element
 from .twist_tables import TWISTS, jacobi_symbol, select_twist
 
 _VERSION_LINE = "JKCERT 1"
@@ -109,17 +108,22 @@ def minimal_doubling_exponent(n: int) -> int:
 def _cm_sqrt_minus7(k: int, ctx: ModulusCtx) -> int:
     """A square root of -7 mod J_k = ctx.N from the CM structure.
 
-    j_k = u + v*alpha has norm J_k, so alpha -> -u/v (mod J_k) respects
+    j_k = 1 + 2*alpha^k has norm J_k.  Write alpha^k = u + v*alpha: the
+    Lucas sequences with P = 1, Q = 2 give t_k = V_k = 2u + v and
+    v = U_k = (V_k - 2*V_{k+1})/7, an exact division, so trace_mod's
+    (t_k, t_{k+1}) give j_k = (1 + t_k - v) + 2v*alpha with no power in
+    Z[alpha].  alpha -> -(1 + 2u)/(2v) (mod J_k) respects
     alpha^2 = alpha - 2 and d = 2*alpha - 1 squares to -7, for any J_k
-    where v is invertible; one counted inverse replaces the k-bit power
+    where 2v is invertible; one counted inverse replaces the k-bit power
     of step 2.  The sign is the one with Jacobi symbol
     (d/J_k) = (-1)^((J_k+1)/4): for prime J_k that is exactly
     7^((J_k+1)/4), because (7/J_k) = -1 and (-1/J_k) = -1.  Raises
-    NonInvertibleError when v shares a factor with J_k (J_k composite).
+    NonInvertibleError when 2v shares a factor with J_k (J_k composite).
     """
     n = ctx.N
-    j = jk_element(k)
-    alpha = ctx.mul(-j.u % n, ctx.inv(j.v))
+    t, t_next = trace_mod(k)
+    v = (t - 2 * t_next) // 7  # U_k
+    alpha = ctx.mul(-(1 + t - v) % n, ctx.inv(2 * v))
     d = ctx.sub(ctx.add(alpha, alpha), 1)
     want = 1 if n % 8 == 7 else -1  # (-1)^((n+1)/4), n = 3 (mod 4)
     return d if jacobi_symbol(d, n) == want else n - d

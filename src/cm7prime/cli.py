@@ -18,7 +18,7 @@ from . import certificate as cert_mod
 from . import jk_sequence, prover
 
 _MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
-_MAX_K = 2**24  # jk_closed squares alpha^(2^i) up to k's top bit
+_MAX_K = 2**24  # jk_closed runs one exact Lucas ladder step per bit of k
 
 
 def _int_arg(text: str, low: float, high: float, subject: str = "") -> int:

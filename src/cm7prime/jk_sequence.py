@@ -12,16 +12,15 @@ J_k satisfies the linear recurrence
 with seeds J_1..J_4 = 11, 11, 23, 67 (characteristic polynomial
 (x - 1)(x - 2)(x^2 - x + 2)).  _recurrence is its one implementation: the
 streams, the period finder and the streaming sieve engines take J_k mod ell
-from it.  trace_mod gives a single t_k mod m by a ladder instead, for the
-discrete-log sieve engine.
+from it.  trace_mod is the one implementation of a single t_k, a Lucas
+ladder, exact or mod m: jk_closed, the certificate's CM root and the
+discrete-log sieve engine take t_k from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-from .quad_ring import ALPHA, qi_pow
 
 RECURRENCE = (4, -7, 8, -4)  # J_{k+4} = 4 J_{k+3} - 7 J_{k+2} + 8 J_{k+1} - 4 J_k
 SEEDS = (11, 11, 23, 67)  # J_1, J_2, J_3, J_4
@@ -34,32 +33,28 @@ class JkValue:
 
 
 def trace(k: int) -> int:
-    """t_k = alpha^k + conj(alpha)^k.  Defined for k >= 0.
-
-    alpha^k = u + v*alpha and conj(alpha) = 1 - alpha give t_k = 2u + v, so
-    one binary power in Z[alpha] costs O(log k) big-int multiplications.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    p = qi_pow(ALPHA, k)
-    return 2 * p.u + p.v
+    """t_k = alpha^k + conj(alpha)^k, exactly, from trace_mod.  k >= 0."""
+    return trace_mod(k)[0]
 
 
-def trace_mod(k: int, m: int) -> tuple[int, int]:
-    """(t_k mod m, t_{k+1} mod m) by a Lucas ladder in O(log k) steps.
+def trace_mod(k: int, m: int | None = None) -> tuple[int, int]:
+    """(t_k, t_{k+1}) by a Lucas ladder in O(log k) steps, mod m if given.
 
     t is the Lucas V sequence with P = 1, Q = 2, so from (V_j, V_{j+1}, Q^j)
     a bit of k gives V_{2j} = V_j^2 - 2Q^j, V_{2j+1} = V_j V_{j+1} - Q^j and
-    V_{2j+2} = V_{j+1}^2 - 2Q^{j+1}.  Defined for k >= 0 and m >= 2.
+    V_{2j+2} = V_{j+1}^2 - 2Q^{j+1}; Q^j is a power of two, cheap to
+    multiply even unreduced.  Defined for k >= 0 and m >= 2.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    v, w, q = 2 % m, 1 % m, 1  # V_j, V_{j+1}, Q^j with j = 0
+    v, w, q = 2, 1, 1  # V_j, V_{j+1}, Q^j with j = 0
     for bit in bin(k)[2:]:
         if bit == "1":
-            v, w, q = (v * w - q) % m, (w * w - 4 * q) % m, 2 * q * q % m
+            v, w, q = v * w - q, w * w - 4 * q, 2 * q * q
         else:
-            v, w, q = (v * v - 2 * q) % m, (v * w - q) % m, q * q % m
+            v, w, q = v * v - 2 * q, v * w - q, q * q
+        if m is not None:
+            v, w, q = v % m, w % m, q % m
     return v, w
 
 

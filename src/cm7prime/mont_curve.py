@@ -45,7 +45,6 @@ modulus.  Which path reduces never changes a value or a count.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -349,10 +348,11 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     The chain runs on two lanes (_two_lanes) only when every gate is
     open: N has at least _LANE_MIN_BITS bits, the chain has at least
     _LANE_MIN_COUNT doublings, _lane_obstacle finds os.fork, x86-64 and
-    two usable CPUs, and _lanes_available finds one thread in a process
-    that multiprocessing did not start.  Otherwise the chain is a loop
-    of xz_double, the reference.  Either way ctx's counters grow by
-    2 squarings, 3 multiplications and 4 additions per step.
+    two usable CPUs (read anew for each chain), and _lanes_available
+    finds one thread in a process that multiprocessing did not start.
+    Otherwise the chain is a loop of xz_double, the reference.  Either
+    way ctx's counters grow by 2 squarings, 3 multiplications and 4
+    additions per step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -370,9 +370,8 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     return cur, prev, kept
 
 
-@functools.cache
 def _lane_obstacle() -> str | None:
-    """Why this process cannot run two lanes, or None if it can."""
+    """Why this process cannot run two lanes now, or None; read per chain."""
     if not hasattr(os, "fork"):
         return "os.fork is missing"
     if os.uname().machine.lower() not in ("x86_64", "amd64"):

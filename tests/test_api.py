@@ -181,3 +181,12 @@ def test_no_module_imports_refcheck():
                for path in Path(cm7prime.__file__).parent.glob("*.py")
                if "refcheck" in _package_imports(path)}
     assert readers == set()
+
+
+def test_only_the_package_root_imports_quad_ring():
+    # trace_mod's ladder computes t_k for the package; Z[alpha] is the
+    # independent route the tests check it against, exported for users
+    readers = {path.stem
+               for path in Path(cm7prime.__file__).parent.glob("*.py")
+               if "quad_ring" in _package_imports(path)}
+    assert readers == {"__init__"}

@@ -25,12 +25,14 @@ from cm7prime.certificate import (Certificate, CertificateFormatError,
                                   minimal_doubling_exponent, parse, read_decimal,
                                   serialize, verify_certificate)
 from cm7prime.jk_sequence import forced_composite, jk_closed
-from cm7prime.mont_curve import (ModulusCtx, montgomerize, montgomery_constants,
-                                 projective_rhs, sqrt_minus7)
+from cm7prime.mont_curve import (ModulusCtx, NonInvertibleError, montgomerize,
+                                 montgomery_constants, projective_rhs,
+                                 sqrt_minus7)
 from cm7prime.prover import VerdictKind
 from cm7prime.prover import test_jk as prove_jk
+from cm7prime.quad_ring import jk_element
 from cm7prime.refcheck import AffinePoint, sqrt_mod, weier_scalar_mult
-from cm7prime.twist_tables import TWISTS, select_twist
+from cm7prime.twist_tables import TWISTS, jacobi_symbol, select_twist
 
 
 def _crt_sqrts(v: int, primes: tuple[int, ...]) -> list[int]:
@@ -188,6 +190,28 @@ class TestCMRoot:
             assert sqrt_minus7(ModulusCtx(n)) is None
             d = _cm_sqrt_minus7(k, ModulusCtx(n))
             assert d * d % n == n - 7, k
+
+    def test_matches_the_root_from_z_alpha_to_300(self):
+        # the ladder's j_k against jk_element's binary power, composites
+        # included: the same root, or the same non-invertible 2v
+        raised = 0
+        for k in range(1, 301):
+            if forced_composite(k):
+                continue
+            n = jk_closed(k).value
+            j = jk_element(k)
+            try:
+                alpha = -j.u * pow(j.v, -1, n) % n
+            except ValueError:
+                raised += 1
+                with pytest.raises(NonInvertibleError):
+                    _cm_sqrt_minus7(k, ModulusCtx(n))
+                continue
+            d = (2 * alpha - 1) % n
+            want = 1 if n % 8 == 7 else -1
+            assert _cm_sqrt_minus7(k, ModulusCtx(n)) == \
+                (d if jacobi_symbol(d, n) == want else n - d), k
+        assert raised == 2  # k = 70 and 238
 
     def test_certificate_exactly_when_test_jk_says_prime(self):
         for k in range(2, 401):

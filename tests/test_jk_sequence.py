@@ -33,25 +33,30 @@ class TestClosedForm:
             jk_closed(k)
 
     def test_agrees_with_quadratic_ring_norm(self):
-        for k in range(1, 120):
-            assert jk_closed(k).value == qi_norm(jk_element(k))
+        for k in [*range(1, 120), 3779, 2**14 + 1]:
+            assert jk_closed(k).value == qi_norm(jk_element(k)), k
 
     def test_trace_plus_power_of_two_shape(self):
-        for k in range(1, 80):
+        for k in [*range(1, 80), 3779, 2**14 + 1]:
             p = qi_pow(ALPHA, k)
             t_k = 2 * p.u + p.v
-            assert trace(k) == t_k
+            assert trace(k) == t_k, k
             assert jk_closed(k).value == 1 + 2 * t_k + (1 << (k + 2))
 
     def test_closed_form_matches_the_recurrence_to_2000(self):
-        # trace is a binary power in Z[alpha]; the stream is the recurrence
+        # trace is the Lucas ladder; the stream is the recurrence
         for jv in jk_stream(2000):
             assert jk_closed(jv.k).value == jv.value, jv.k
 
-    @pytest.mark.parametrize("m", [2, 3, 11, 340337, 2**61 - 1])
+    @pytest.mark.parametrize("m", [None, 2, 3, 11, 340337, 2**61 - 1])
     def test_trace_mod_ladder_matches_trace(self, m):
+        # the independent route: alpha^k = u + v*alpha in Z[alpha] gives
+        # t_k = 2u + v
+        traces = [2 * p.u + p.v for p in (qi_pow(ALPHA, k) for k in range(301))]
+        if m is not None:
+            traces = [t % m for t in traces]
         for k in range(300):
-            assert trace_mod(k, m) == (trace(k) % m, trace(k + 1) % m), k
+            assert trace_mod(k, m) == (traces[k], traces[k + 1]), k
 
 
 class TestStream:

@@ -607,6 +607,33 @@ class TestLanes:
             time.sleep(0.01)
         assert not _running(lane), "the orphaned lane kept running"
 
+    @needs_lanes
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="os.sched_setaffinity is missing")
+    def test_pinning_to_one_cpu_shuts_the_lanes(self):
+        # the usable CPUs are read at each chain, not once per process
+        code = (
+            "import os\n"
+            "from cm7prime import mont_curve as mc\n"
+            "calls = []\n"
+            "two_lanes = mc._two_lanes\n"
+            "def spy(*args):\n"
+            "    calls.append(args[3])\n"
+            "    return two_lanes(*args)\n"
+            "mc._two_lanes = spy\n"
+            "mc._LANE_MIN_BITS, mc._LANE_MIN_COUNT = 0, 1\n"
+            "def chain():\n"
+            "    mc.double_chain(mc.XZPoint(3, 1), mc.MontCurveCtx(0, 0, 1, 5),"
+            " mc.ModulusCtx(23), 4)\n"
+            "chain()\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "chain()\n"
+            "print(calls)\n")
+        with _python(code) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out == "[4]\n"
+
     @pytest.fixture
     def lane_log(self, monkeypatch, tmp_path):
         """Force the lane crossovers down and log each lane's pid to a file.
