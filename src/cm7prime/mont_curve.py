@@ -22,7 +22,8 @@ t, then s t and C f, then f (t + C f)), so lane A, the caller, computes
 s and x' = s t while lane B, a child process forked for the chain,
 computes t, f, C f and z' = f (t + C f), and a step costs about one
 squaring and two multiplications of wall time against 2S + 3M.  The
-lanes swap values through a shared anonymous mmap (_two_lanes).  The
+lanes swap values through a shared anonymous mmap (_two_lanes), and
+lanes.Lane forks B onto a CPU of its own.  The
 arithmetic is xz_double's, and the chain adds count * (2, 3, 4) to the
 counters in one go: that is exact because a step's operation sequence
 is straight-line and never depends on the values (z = 0 included), and
@@ -47,9 +48,10 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-import threading
 from dataclasses import dataclass
+from functools import partial
+
+from . import lanes
 
 
 # Below 2^850 one builtin % reduces faster than the fold, whose eight
@@ -63,6 +65,7 @@ _FOLD_MIN_BITS = 850
 # crossovers (README, Performance notes).
 _LANE_MIN_BITS = 1200
 _LANE_MIN_COUNT = 512
+_SPINS_PER_YIELD = 1024  # sequence-word reads between sched_yield calls
 _SPINS_PER_CHECK = 4096  # sequence-word reads between liveness checks
 
 
@@ -347,19 +350,19 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
 
     The chain runs on two lanes (_two_lanes) only when every gate is
     open: N has at least _LANE_MIN_BITS bits, the chain has at least
-    _LANE_MIN_COUNT doublings, _lane_obstacle finds os.fork, x86-64 and
-    two usable CPUs (read anew for each chain), and _lanes_available
-    finds one thread in a process that multiprocessing did not start.
-    Otherwise the chain is a loop of xz_double, the reference.  Either
-    way ctx's counters grow by 2 squarings, 3 multiplications and 4
-    additions per step.
+    _LANE_MIN_COUNT doublings, and _lane_obstacle finds x86-64 and
+    nothing that lanes.lane_obstacle names (no os.fork, one usable CPU,
+    a second thread, a process that multiprocessing started), read anew
+    for each chain.  Otherwise the chain is a loop of xz_double, the
+    reference.  Either way ctx's counters grow by 2 squarings, 3
+    multiplications and 4 additions per step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if keep_at is not None and not 0 <= keep_at <= count:
         raise ValueError("keep_at out of range")
     if (count >= _LANE_MIN_COUNT and ctx.N.bit_length() >= _LANE_MIN_BITS
-            and _lanes_available()):
+            and _lane_obstacle() is None):
         return _two_lanes(P, curve.C, ctx, count, keep_at)
     kept = P if keep_at == 0 else None
     prev = cur = P
@@ -371,52 +374,38 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
 
 
 def _lane_obstacle() -> str | None:
-    """Why this process cannot run two lanes now, or None; read per chain."""
-    if not hasattr(os, "fork"):
-        return "os.fork is missing"
-    if os.uname().machine.lower() not in ("x86_64", "amd64"):
-        return f"not x86-64 (machine {os.uname().machine!r})"
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2:
-        return "only one usable CPU"
-    return None
+    """Why double_chain cannot run two lanes now, or None.
 
-
-def _lanes_available() -> bool:
-    """Whether double_chain may fork a lane now.
-
-    A process with a second thread forks no lane, since the child could
-    inherit a lock that thread holds, hang on it, and leave the caller
-    spinning.  Nor does a process that multiprocessing started, such as
-    a pool worker: its siblings hold the other cores.  multiprocessing is
-    looked up, never imported, since a process that has not loaded it
-    was not started by it.
+    The slot protocol of _two_lanes needs x86-64's store order; the rest
+    is lanes.lane_obstacle.
     """
-    mp = sys.modules.get("multiprocessing")
-    return (_lane_obstacle() is None and threading.active_count() == 1
-            and (mp is None or mp.parent_process() is None))
-
-
-class _LaneLost(RuntimeError):
-    """The other lane of a doubling chain ended before the chain did."""
+    machine = os.uname().machine
+    if machine.lower() not in ("x86_64", "amd64"):
+        return f"not x86-64 (machine {machine!r})"
+    return lanes.lane_obstacle()
 
 
 def _await(words, at: int, want: int, gone) -> None:
     """Spin until words[at] >= want.
 
-    Every _SPINS_PER_CHECK reads, gone() says whether the other lane has
-    ended; if it has and the word is still short, raise _LaneLost.
+    Every _SPINS_PER_YIELD reads the lane gives its CPU back once, so a
+    lane that shares a CPU with the other one (or with any process) lets
+    it run; an uncontended wait ends long before.  Every _SPINS_PER_CHECK
+    reads, gone() says whether the other lane has ended; if it has and
+    the word is still short, raise lanes.LaneLost.
     """
     spins = 0
     while words[at] < want:
         spins += 1
+        if spins % _SPINS_PER_YIELD:
+            continue
+        os.sched_yield()
         if spins == _SPINS_PER_CHECK:
             spins = 0
             if gone():
                 if words[at] >= want:  # it published, then ended
                     return
-                raise _LaneLost("the other doubling lane ended mid-chain")
+                raise lanes.LaneLost("the other doubling lane ended mid-chain")
 
 
 def _two_lanes(P: XZPoint, c_coef: int, ctx: ModulusCtx, count: int,
@@ -445,13 +434,12 @@ def _two_lanes(P: XZPoint, c_coef: int, ctx: ModulusCtx, count: int,
     in program order (x86-64's TSO); an aligned 8-byte word is read and
     written whole.  _lane_obstacle refuses other machines.
 
-    B leaves only through os._exit, so it never flushes stdio buffers it
-    inherited, and it exits once this process is gone (its parent pid
-    changes).  A raises _LaneLost if B dies mid-chain, and kills and
-    reaps B on every way out.
+    B runs in a lanes.Lane, which places it on a CPU of its own and
+    kills and reaps it on every way out; it exits once this process is
+    gone (its parent pid changes).  A raises lanes.LaneLost if B dies
+    mid-chain.
     """
     import mmap  # not at module level, to keep import cm7prime small
-    import signal
 
     n, red = ctx.N, ctx._reduce
     c_coef %= n
@@ -459,48 +447,31 @@ def _two_lanes(P: XZPoint, c_coef: int, ctx: ModulusCtx, count: int,
     size = (n.bit_length() + 7) // 8  # bytes per residue
     span = -(-size // 64) * 64  # slots start on cache lines
     s_at, x_at, t_at, z_at = (128 + j * span for j in range(4))
-    parent, pid, reaped = os.getpid(), 0, False
-
-    def gone() -> bool:
-        nonlocal reaped
-        reaped = os.waitpid(pid, os.WNOHANG)[0] != 0
-        return reaped
+    parent = os.getpid()
 
     # an anonymous mmap is shared with the forked child
     with (mmap.mmap(-1, 128 + 4 * span) as mem, memoryview(mem) as raw,
-          raw.cast("Q") as words):
-        try:
-            pid = os.fork()
-            if pid == 0:  # lane B
-                status = 1
-                try:
-                    _lane_b(mem, words, red, n, c_coef, x, z, count, size,
-                            (s_at, x_at, t_at, z_at),
-                            lambda: os.getppid() != parent)
-                    status = 0
-                finally:
-                    os._exit(status)
-            kept = P if keep_at == 0 else None
-            for i in range(1, count + 1):
-                px, pz = x, z
-                u = x + z
-                if u >= n:
-                    u -= n
-                s = red(u * u)
-                mem[s_at:s_at + size] = s.to_bytes(size, "little")
-                words[0] = 2 * i - 1
-                _await(words, 8, 2 * i - 1, gone)
-                x = red(s * int.from_bytes(mem[t_at:t_at + size], "little"))
-                mem[x_at:x_at + size] = x.to_bytes(size, "little")
-                words[0] = 2 * i
-                _await(words, 8, 2 * i, gone)
-                z = int.from_bytes(mem[z_at:z_at + size], "little")
-                if i == keep_at:
-                    kept = XZPoint(x, z)
-        finally:
-            if pid and not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+          raw.cast("Q") as words,
+          lanes.Lane(partial(_lane_b, mem, words, red, n, c_coef, x, z,
+                             count, size, (s_at, x_at, t_at, z_at),
+                             lambda: os.getppid() != parent)) as lane_b):
+        kept = P if keep_at == 0 else None
+        for i in range(1, count + 1):
+            px, pz = x, z
+            u = x + z
+            if u >= n:
+                u -= n
+            s = red(u * u)
+            mem[s_at:s_at + size] = s.to_bytes(size, "little")
+            words[0] = 2 * i - 1
+            _await(words, 8, 2 * i - 1, lane_b.done)
+            x = red(s * int.from_bytes(mem[t_at:t_at + size], "little"))
+            mem[x_at:x_at + size] = x.to_bytes(size, "little")
+            words[0] = 2 * i
+            _await(words, 8, 2 * i, lane_b.done)
+            z = int.from_bytes(mem[z_at:z_at + size], "little")
+            if i == keep_at:
+                kept = XZPoint(x, z)
     ctx.squarings += 2 * count
     ctx.multiplications += 3 * count
     ctx.additions += 4 * count

@@ -26,12 +26,12 @@ the whole run at most 6.5k multiplications-plus-squarings for large k).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
 
 from .jk_sequence import forced_composite, jk_closed
+from .lanes import usable_cpus
 from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
                          double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomerize, sqrt_minus7)
@@ -158,7 +158,7 @@ def search(k_min: int, k_max: int, sieve_limit: int,
 
     A sieve_limit below 3 sieves by no prime, so every k is tested.
     Results are identical for any worker count; workers > 1 spreads
-    candidates over at most min(workers, candidates, os.cpu_count())
+    candidates over at most min(workers, candidates, usable CPUs)
     processes, each of which already holds a core, so their chains run
     on one lane.
     """
@@ -169,7 +169,7 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     # the sieve needs n >= 4 and L >= 2; no J_k is <= 2
     report = sieve_range(max(k_max, 4), max(sieve_limit, 2))
     ks = [k for k in survivors(report) if k_min <= k <= k_max]
-    workers = min(workers, len(ks), os.cpu_count() or 1)
+    workers = min(workers, len(ks), usable_cpus())
     if workers <= 1:
         runs = map(test_jk, ks)
     else:

@@ -38,13 +38,20 @@ it, and it goes with that tour (ROADMAP item 3).
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from typing import Iterator
 
+from . import lanes
 from .jk_sequence import _recurrence, jk_mod_stream, jk_stream, trace_mod
+
+# The period engine splits its primes with a forked lane from this many
+# primes on; below it the fork and the merge cost more than half the
+# primes' work (README, Performance notes).
+_LANE_MIN_PRIMES = 2000
 
 
 @dataclass(frozen=True)
@@ -316,12 +323,24 @@ def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
     can hit one k (then ell^2 | J_k); inert ell go to _inert_zeros.  Both
     read only the prime powers of ell - 1 whose prime is at most n + 2.
     Every zero counts, J_k = ell included; sieve_range discounts those.
+
+    Each prime is one independent computation, so from _LANE_MIN_PRIMES
+    primes on, where lanes.lane_obstacle finds nothing in the way, a
+    forked lane takes every other prime (_two_lanes).
     """
+    if not primes:
+        return bytearray(n + 1), {}
+    spf = _least_factors(primes[-1])
+    if len(primes) >= _LANE_MIN_PRIMES and lanes.lane_obstacle() is None:
+        return _two_lanes(n, primes, spf)
+    return _period_zeros(n, primes, spf)
+
+
+def _period_zeros(n: int, primes: list[int],
+                  spf: array) -> tuple[bytearray, dict[int, int]]:
+    """_engine_period's work on one lane, given the least-factor table."""
     elim = bytearray(n + 1)
     per_prime: dict[int, int] = {}
-    if not primes:
-        return elim, per_prime
-    spf = _least_factors(primes[-1])
     for ell in primes:
         powers = _prime_powers(ell - 1, spf, n + 2)
         split = ell % 7 in (1, 2, 4)
@@ -331,6 +350,45 @@ def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
         if zeros:
             per_prime[ell] = len(zeros)
     return elim, per_prime
+
+
+def _two_lanes(n: int, primes: list[int],
+               spf: array) -> tuple[bytearray, dict[int, int]]:
+    """_period_zeros(n, primes, spf) on two lanes, with the same result.
+
+    A lanes.Lane takes primes[1::2] and sends (bytes(elim), per_prime)
+    back through a pipe by marshal; this process takes primes[::2], then
+    blocks on the pipe until the lane has sent all and exited.  The masks
+    are ORed, and per_prime is merged in ascending prime order, the order
+    one lane inserts it in.  A lane that dies or sends short data raises
+    lanes.LaneLost: no partial result is returned.
+    """
+    import marshal
+
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as inbox, open(write_fd, "wb") as outbox:
+        def lane() -> None:
+            elim, per_prime = _period_zeros(n, primes[1::2], spf)
+            outbox.write(marshal.dumps((bytes(elim), per_prime)))
+            outbox.flush()
+
+        with lanes.Lane(lane) as other:
+            outbox.close()  # so inbox ends when the lane does
+            elim, per_prime = _period_zeros(n, primes[::2], spf)
+            sent = inbox.read()  # retried after a signal handler (PEP 475)
+            code = other.wait()
+    try:
+        their_elim, their_per_prime = marshal.loads(sent)
+    except (EOFError, ValueError, TypeError):
+        their_elim = None
+    if code != 0 or not isinstance(their_elim, bytes) \
+            or len(their_elim) != n + 1:
+        raise lanes.LaneLost(f"the sieve lane exited with code {code} after "
+                             f"sending {len(sent)} bytes")
+    elim = bytearray((int.from_bytes(elim, "little")
+                      | int.from_bytes(their_elim, "little"))
+                     .to_bytes(n + 1, "little"))
+    return elim, dict(sorted((*per_prime.items(), *their_per_prime.items())))
 
 
 def _engine_numpy(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cm7prime import mont_curve
+from cm7prime import lanes, mont_curve
 from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import (_FOLD_MIN_BITS, ModulusCtx, MontCurveCtx,
                                  NonInvertibleError, XZPoint, double_chain,
@@ -534,9 +534,11 @@ class TestLanes:
         curve, start = montgomerize(-1, 1, 4, ctx)  # order 16
         points = _reference_chain(start, curve, ModulusCtx(23), 10)
         assert points[4].z == 0 and points[3].z != 0
+        mask = _cpu_mask()
         got = double_chain(start, curve, ModulusCtx(23), 10, keep_at=4)
         assert got == (points[10], points[9], points[4])
         assert lane_calls == [10]
+        assert _cpu_mask() == mask  # the caller was pinned only meanwhile
 
     @needs_lanes
     def test_an_exception_mid_chain_leaves_no_child(self, lane_calls):
@@ -572,10 +574,55 @@ class TestLanes:
                 return super()._reduce(t)
 
         ctx = LaneDies(jk_closed(1129).value)
-        with pytest.raises(mont_curve._LaneLost):
+        mask = _cpu_mask()
+        with pytest.raises(lanes.LaneLost):
             double_chain(XZPoint(3, 1), MontCurveCtx(0, 0, 1, 5), ctx, 50)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert _cpu_mask() == mask
+
+    def test_a_long_wait_gives_the_cpu_back(self, monkeypatch):
+        # an uncontended wait ends within a few reads; one held past
+        # _SPINS_PER_YIELD reads yields once per interval
+        yields = []
+        monkeypatch.setattr(mont_curve.os, "sched_yield",
+                            lambda: yields.append(1))
+        every = mont_curve._SPINS_PER_YIELD
+
+        class Word:
+            def __init__(self, short_reads):
+                self.left = short_reads
+
+            def __getitem__(self, at):
+                self.left -= 1
+                return 0 if self.left >= 0 else 1
+
+        for short_reads, expect in ((3, 0), (every - 1, 0), (every, 1),
+                                    (3 * every + 5, 3)):
+            yields.clear()
+            mont_curve._await(Word(short_reads), 0, 1, lambda: False)
+            assert len(yields) == expect, short_reads
+
+    @needs_lanes
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="os.sched_setaffinity is missing")
+    def test_a_lane_runs_on_a_cpu_of_its_own(self):
+        read_fd, write_fd = os.pipe()
+        with open(read_fd) as inbox, open(write_fd, "w") as outbox:
+            def report():
+                outbox.write(" ".join(map(str, os.sched_getaffinity(0))))
+                outbox.flush()
+
+            mask = _cpu_mask()
+            with lanes.Lane(report) as lane:
+                outbox.close()
+                during = _cpu_mask()
+                theirs = inbox.read()
+                assert lane.wait() == 0
+        assert _cpu_mask() == mask
+        ours, = during
+        lane_cpu, = map(int, theirs.split())
+        assert {ours, lane_cpu} <= mask and ours != lane_cpu
 
     @needs_lanes
     def test_a_killed_parents_lane_exits_within_two_seconds(self):
@@ -688,7 +735,7 @@ class TestLanes:
               r.stats.additions, r.stats.gcd_calls) for r in serial]
 
     def test_import_loads_neither_mmap_nor_platform(self):
-        # nor does a chain load multiprocessing, which _lanes_available
+        # nor does a chain load multiprocessing, which lanes.lane_obstacle
         # reads; on lanes, it loads mmap
         chain = ("from cm7prime import mont_curve as mc\n"
                  "mc._LANE_MIN_BITS, mc._LANE_MIN_COUNT = 0, 1\n"
@@ -705,6 +752,13 @@ class TestLanes:
                 out, err = proc.communicate(timeout=60)
             assert proc.returncode == 0, err
             assert out == f"{mmap_loaded} False False\n"
+
+
+def _cpu_mask() -> set[int] | None:
+    """This process's CPU mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return None
 
 
 def _running(pid: int) -> bool:

@@ -1,8 +1,10 @@
 """End-to-end verdicts, run statistics, and the range search."""
 
+import os
+
 import pytest
 
-from cm7prime import prover
+from cm7prime import lanes, prover
 from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import XZPoint
@@ -181,13 +183,27 @@ class TestSearch:
                 return map(fn, jobs)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(prover.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(prover, "usable_cpus", lambda: 4)
         return sizes
 
     def test_workers_are_bounded_by_cpu_count(self, pool_sizes):
         rows = search(2, 80, 1000, workers=10**6)
         assert pool_sizes == [4]
         assert _strip(rows) == _strip(search(2, 80, 1000, workers=1))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="os.sched_setaffinity is missing")
+    def test_a_process_pinned_to_one_cpu_searches_inline(self, pool_sizes,
+                                                         monkeypatch):
+        # the bound is the CPUs this process may use, not the CPU count
+        monkeypatch.setattr(prover, "usable_cpus", lanes.usable_cpus)
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            search(2, 80, 1000, workers=2)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert pool_sizes == []
 
     def test_workers_are_bounded_by_candidates(self, pool_sizes):
         rows = search(2, 4, 2, workers=10)  # no sieving: k = 2, 3, 4

@@ -10,13 +10,48 @@ from pathlib import Path
 
 import pytest
 
-from cm7prime import prover
+from cm7prime import lanes, prover, sieve
 from cm7prime.jk_sequence import jk_closed, jk_mod_stream, trace_mod
 from cm7prime.sieve import (_ENGINES, _bsgs, _engine_python, _inert_zeros,
                             _root_zeros, _split_zeros, _sqrt_mod, iter_primes,
                             sieve_range, survivors)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+_LANE_OBSTACLE = lanes.lane_obstacle()
+needs_a_lane = pytest.mark.skipif(
+    _LANE_OBSTACLE is not None,
+    reason=f"the sieve cannot fork a lane here: {_LANE_OBSTACLE}")
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running code, with the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _cpu_mask() -> set[int] | None:
+    """This process's CPU mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return None
+
+
+@pytest.fixture
+def two_lane_calls(monkeypatch):
+    """Spy on the period engine's two-lane path: the n of each call."""
+    calls = []
+    two_lanes = sieve._two_lanes
+
+    def spy(n, primes, spf):
+        calls.append(n)
+        return two_lanes(n, primes, spf)
+
+    monkeypatch.setattr(sieve, "_two_lanes", spy)
+    return calls
 
 
 class TestIterPrimes:
@@ -215,17 +250,97 @@ class TestDiscreteLogEngine:
             "898c5e6635eb408f3672e11cb7ad9ae982c63b661a003debf010d9fe295aee5d",
             marks=pytest.mark.slow),
     ])
-    def test_default_matches_frozen_digest(self, n, limit, digest):
+    def test_default_matches_frozen_digest(self, n, limit, digest,
+                                           two_lane_calls):
         # hashed as perfbench's sieve_digest does; every engine gave these
         # values, the second is perfbench/reference.json's sieve-deep entry;
         # the last two come from the engine that computed full orders, and
-        # hold the README's 16,387 and 140,958 survivors
+        # hold the README's 16,387 and 140,958 survivors; each size has
+        # enough primes for the engine to fork its lane
         report = sieve_range(n, limit)
         h = hashlib.sha256(report.survivor_mask)
         h.update(json.dumps([report.n, report.limit,
                              sorted(report.per_prime.items()),
                              list(report.small_j_list)]).encode())
         assert h.hexdigest() == digest
+        assert two_lane_calls == ([n] if _LANE_OBSTACLE is None else [])
+
+
+class TestSieveLane:
+    """From _LANE_MIN_PRIMES primes on, a forked lane takes every other
+    prime; the report is the one-lane engine's, bit for bit."""
+
+    @needs_a_lane
+    @pytest.mark.parametrize("n,limit", [(50, 5), (120, 50), (400, 500),
+                                         (1000, 37), (12, 10**4), (50, 11),
+                                         (2000, 3000), (400, 10**4)])
+    def test_two_lanes_match_one_lane_and_the_stream(self, n, limit,
+                                                     two_lane_calls,
+                                                     monkeypatch):
+        monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 1)
+        mask = _cpu_mask()
+        two = sieve_range(n, limit)
+        assert two_lane_calls == [n]
+        assert _cpu_mask() == mask  # the caller was pinned only meanwhile
+        monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 10**9)
+        one = sieve_range(n, limit)
+        assert two_lane_calls == [n]
+        assert two == one == sieve_range(n, limit, engine="python")
+        assert list(two.per_prime.items()) == list(one.per_prime.items())
+
+    def test_small_sieves_stay_on_one_lane(self, two_lane_calls):
+        assert sieve._LANE_MIN_PRIMES > sum(1 for _ in iter_primes(10**4))
+        sieve_range(400, 10**4)
+        _ENGINES["period"](2000, [1033])
+        assert two_lane_calls == []
+
+    @needs_a_lane
+    @pytest.mark.parametrize("how", ["exit", "raise", "short"])
+    def test_a_lost_lane_raises_and_leaves_no_child(self, how, monkeypatch):
+        import marshal
+
+        parent = os.getpid()
+        period_zeros = sieve._period_zeros
+        dumps = marshal.dumps
+
+        def lane_fails(n, primes, spf):
+            if os.getpid() != parent and how != "short":
+                if how == "exit":
+                    os._exit(0)
+                raise RuntimeError("the lane fails")
+            return period_zeros(n, primes, spf)
+
+        monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 1)
+        monkeypatch.setattr(sieve, "_period_zeros", lane_fails)
+        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+        mask = _cpu_mask()
+        with pytest.raises(lanes.LaneLost):
+            sieve_range(400, 10**4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # reaped, none left
+        assert _cpu_mask() == mask
+
+    @needs_a_lane
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="os.sched_setaffinity is missing")
+    def test_pinning_to_one_cpu_shuts_the_lane(self):
+        # the usable CPUs are read at each sieve, not once per process
+        res = _python(
+            "import os\n"
+            "from cm7prime import sieve\n"
+            "calls = []\n"
+            "two_lanes = sieve._two_lanes\n"
+            "def spy(n, primes, spf):\n"
+            "    calls.append(n)\n"
+            "    return two_lanes(n, primes, spf)\n"
+            "sieve._two_lanes = spy\n"
+            "sieve._LANE_MIN_PRIMES = 1\n"
+            "sieve.sieve_range(40, 100)\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sieve.sieve_range(50, 100)\n"
+            "print(calls)\n")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[40]\n"
 
 
 def _powers_to(m: int, top: int) -> list[tuple[int, int]]:
