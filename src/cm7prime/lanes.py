@@ -87,7 +87,7 @@ class Lane:
     def __init__(self, body) -> None:
         self._body = body
         self._mask: set[int] | None = None
-        self.pid = 0
+        self._pid = 0
         self._status: int | None = None  # waitpid status, once reaped
 
     def __enter__(self) -> "Lane":
@@ -100,11 +100,11 @@ class Lane:
             there = {cpus[(i + 1) % len(cpus)]}
             _pin({cpus[i]})
         try:
-            self.pid = os.fork()
+            self._pid = os.fork()
         except BaseException:
             self._restore()
             raise
-        if self.pid == 0:
+        if self._pid == 0:
             status = 1
             try:
                 if there is not None:
@@ -118,7 +118,7 @@ class Lane:
     def done(self) -> bool:
         """Whether the child has ended, reaping it if so; never blocks."""
         if self._status is None:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            pid, status = os.waitpid(self._pid, os.WNOHANG)
             if pid:
                 self._status = status
         return self._status is not None
@@ -126,14 +126,14 @@ class Lane:
     def wait(self) -> int:
         """The child's exit code, waiting for it to end; -N after signal N."""
         if self._status is None:
-            self._status = os.waitpid(self.pid, 0)[1]
+            self._status = os.waitpid(self._pid, 0)[1]
         return os.waitstatus_to_exitcode(self._status)
 
     def __exit__(self, *exc) -> None:
         try:
             if self._status is None:
-                os.kill(self.pid, signal.SIGKILL)
-                self._status = os.waitpid(self.pid, 0)[1]
+                os.kill(self._pid, signal.SIGKILL)
+                self._status = os.waitpid(self._pid, 0)[1]
         finally:
             self._restore()
 
