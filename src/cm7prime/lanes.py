@@ -31,6 +31,7 @@ import os
 import signal
 import sys
 import threading
+from collections.abc import Callable
 
 
 class LaneLost(RuntimeError):
@@ -84,7 +85,7 @@ class Lane:
     already, and reaped, and the caller's CPU mask is restored.
     """
 
-    def __init__(self, body) -> None:
+    def __init__(self, body: Callable[[], object]) -> None:
         self._body = body
         self._mask: set[int] | None = None
         self._pid = 0

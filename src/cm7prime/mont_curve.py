@@ -66,7 +66,7 @@ _FOLD_MIN_BITS = 850
 _LANE_MIN_BITS = 1200
 _LANE_MIN_COUNT = 512
 _SPINS_PER_YIELD = 1024  # sequence-word reads between sched_yield calls
-_SPINS_PER_CHECK = 4096  # sequence-word reads between liveness checks
+_SPINS_PER_CHECK = 4096  # reads between liveness checks; a multiple of it
 
 
 class NonInvertibleError(ArithmeticError):

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -319,6 +321,31 @@ class TestSieveLane:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # reaped, none left
         assert _cpu_mask() == mask
+
+    @needs_a_lane
+    def test_signals_while_the_caller_waits_are_handled(self, monkeypatch):
+        # the caller blocks on the pipe while the lane works; each signal
+        # runs its handler there, and the read resumes (PEP 475)
+        parent = os.getpid()
+        period_zeros = sieve._period_zeros
+
+        def slow_lane(n, primes, spf):
+            if os.getpid() != parent:
+                time.sleep(0.3)
+            return period_zeros(n, primes, spf)
+
+        monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 1)
+        monkeypatch.setattr(sieve, "_period_zeros", slow_lane)
+        ticks = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+        signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)
+        try:
+            report = sieve_range(400, 10**4)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(ticks) >= 10
+        assert report == sieve_range(400, 10**4, engine="python")
 
     @needs_a_lane
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
