@@ -6,17 +6,37 @@ four-term linear recurrence on the J_k themselves.
 """
 
 from cm7prime.jk_sequence import (RECURRENCE, SEEDS, jk_closed, jk_mod_stream,
-                                  jk_stream, period_mod)
-from cm7prime.quad_ring import ALPHA, jk_element, qi_norm, qi_pow
+                                  jk_stream, period_mod, trace_mod)
 
-print("alpha =", ALPHA, " alpha^2 =", qi_pow(ALPHA, 2), " norm =",
-      qi_norm(ALPHA))
+
+def alpha_power(k):
+    """(u, v) with alpha^k = u + v*alpha, from trace_mod's (t_k, t_{k+1}).
+
+    t_k = 2u + v, and v = (t_k - 2*t_{k+1})/7 divides exactly.
+    """
+    t, t_next = trace_mod(k)
+    v = (t - 2 * t_next) // 7
+    return (t - v) // 2, v
+
+
+def norm(u, w):
+    """N(u + w*alpha) = u^2 + u*w + 2*w^2."""
+    return u * u + u * w + 2 * w * w
+
+
+def show(u, w):
+    return f"{u} {'+' if w >= 0 else '-'} {abs(w)}*alpha"
+
+
+print("alpha =", show(*alpha_power(1)), "  alpha^2 =", show(*alpha_power(2)),
+      "  norm(alpha) =", norm(*alpha_power(1)))
 print()
 
-print(" k   1 + 2*alpha^k                    J_k = norm")
+print(" k   1 + 2*alpha^k        J_k = norm")
 for k in range(1, 11):
-    elem = jk_element(k)
-    print(f"{k:>2}   {str(elem):<30}   {qi_norm(elem)}")
+    u, v = alpha_power(k)
+    elem = (1 + 2 * u, 2 * v)  # = (1 + t_k - v) + 2v*alpha
+    print(f"{k:>2}   {show(*elem):<18}   {norm(*elem)}")
 print()
 
 print("closed form matches the streamed recurrence",

@@ -16,21 +16,19 @@ from .mont_curve import (ModulusCtx, MontCurveCtx, NonInvertibleError, XZPoint,
                          montgomerize, sqrt_minus7, xz_double)
 from .prover import (RunStats, Verdict, VerdictKind, run_pipeline, search,
                      test_jk)
-from .quad_ring import ALPHA, QuadInt, jk_element, qi_conj, qi_mul, qi_norm, qi_pow
 from .sieve import SieveReport, iter_primes, sieve_range, survivors
 from .twist_tables import TwistChoice, jacobi_symbol, select_twist
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
-    "MontCurveCtx", "NonInvertibleError", "QuadInt", "RunStats", "SieveReport",
+    "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
+    "MontCurveCtx", "NonInvertibleError", "RunStats", "SieveReport",
     "TwistChoice", "Verdict", "VerdictKind", "VerifyStats", "XZPoint",
     "build_certificate", "double_chain", "forced_composite",
     "is_strongly_nonzero", "is_zero_mod", "iter_primes", "jacobi_symbol",
-    "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
-    "minimal_doubling_exponent", "montgomerize", "parse", "period_mod",
-    "qi_conj", "qi_mul", "qi_norm", "qi_pow", "run_pipeline", "search",
+    "jk_closed", "jk_mod_stream", "jk_stream", "minimal_doubling_exponent",
+    "montgomerize", "parse", "period_mod", "run_pipeline", "search",
     "select_twist", "serialize", "sieve_range", "sqrt_minus7", "survivors",
     "test_jk", "trace", "verify_certificate", "xz_double",
 ]

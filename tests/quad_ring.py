@@ -3,7 +3,9 @@
 alpha satisfies alpha^2 = alpha - 2, so Z[alpha] is the ring of integers
 of Q(sqrt(-7)) and every element is u + v*alpha with integer u, v.  The
 element 2 splits as alpha * conj(alpha), which is what makes the norm
-sequence built here grow like a power of two.
+sequence built here grow like a power of two.  These are the tests'
+independent route to t_k and j_k; the package takes both from
+jk_sequence.trace_mod's Lucas ladder.
 """
 
 from __future__ import annotations

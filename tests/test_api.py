@@ -7,6 +7,7 @@ here first.  So does a new read of one module's private name by another.
 import argparse
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -14,14 +15,13 @@ import cm7prime
 from cm7prime import cli
 
 PUBLIC_NAMES = [
-    "ALPHA", "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
-    "MontCurveCtx", "NonInvertibleError", "QuadInt", "RunStats", "SieveReport",
+    "Certificate", "CertificateFormatError", "JkValue", "ModulusCtx",
+    "MontCurveCtx", "NonInvertibleError", "RunStats", "SieveReport",
     "TwistChoice", "Verdict", "VerdictKind", "VerifyStats", "XZPoint",
     "build_certificate", "double_chain", "forced_composite",
     "is_strongly_nonzero", "is_zero_mod", "iter_primes", "jacobi_symbol",
-    "jk_closed", "jk_element", "jk_mod_stream", "jk_stream",
-    "minimal_doubling_exponent", "montgomerize", "parse", "period_mod",
-    "qi_conj", "qi_mul", "qi_norm", "qi_pow", "run_pipeline", "search",
+    "jk_closed", "jk_mod_stream", "jk_stream", "minimal_doubling_exponent",
+    "montgomerize", "parse", "period_mod", "run_pipeline", "search",
     "select_twist", "serialize", "sieve_range", "sqrt_minus7", "survivors",
     "test_jk", "trace", "verify_certificate", "xz_double",
 ]
@@ -183,10 +183,25 @@ def test_no_module_imports_refcheck():
     assert readers == set()
 
 
-def test_only_the_package_root_imports_quad_ring():
+def _top_level_imports(path: Path) -> set[str]:
+    """The first dotted component of every absolute import in one file."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            read.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            read.add(node.module.split(".")[0])
+    return read
+
+
+def test_quad_ring_lives_only_in_the_tests():
     # trace_mod's ladder computes t_k for the package; Z[alpha] is the
-    # independent route the tests check it against, exported for users
+    # independent route the tests check it against, so it ships with them
+    assert importlib.util.find_spec("cm7prime.quad_ring") is None
+    test_modules = {path.stem for path in Path(__file__).parent.glob("*.py")}
+    assert "quad_ring" in test_modules
     readers = {path.stem
                for path in Path(cm7prime.__file__).parent.glob("*.py")
-               if "quad_ring" in _package_imports(path)}
-    assert readers == {"__init__"}
+               if "quad_ring" in _package_imports(path)
+               or _top_level_imports(path) & test_modules}
+    assert readers == set()

@@ -30,9 +30,9 @@ from cm7prime.mont_curve import (ModulusCtx, NonInvertibleError, montgomerize,
                                  sqrt_minus7)
 from cm7prime.prover import VerdictKind
 from cm7prime.prover import test_jk as prove_jk
-from cm7prime.quad_ring import jk_element
 from cm7prime.refcheck import AffinePoint, sqrt_mod, weier_scalar_mult
 from cm7prime.twist_tables import TWISTS, jacobi_symbol, select_twist
+from quad_ring import jk_element
 
 
 def _crt_sqrts(v: int, primes: tuple[int, ...]) -> list[int]:

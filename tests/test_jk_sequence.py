@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from cm7prime.jk_sequence import (RECURRENCE, SEEDS, forced_composite,
                                   jk_closed, jk_mod_stream, jk_stream,
                                   period_mod, trace, trace_mod)
-from cm7prime.quad_ring import ALPHA, jk_element, qi_norm, qi_pow
 from cm7prime.refcheck import trial_division
 from cm7prime.sieve import iter_primes
 from cm7prime.twist_tables import jacobi_symbol
+from quad_ring import ALPHA, jk_element, qi_norm, qi_pow
 
 
 class TestClosedForm:
@@ -35,6 +35,16 @@ class TestClosedForm:
     def test_agrees_with_quadratic_ring_norm(self):
         for k in [*range(1, 120), 3779, 2**14 + 1]:
             assert jk_closed(k).value == qi_norm(jk_element(k)), k
+
+    def test_norm_from_the_ladder(self):
+        # 1 + 2*alpha^k = (1 + t_k - v) + 2v*alpha with v = U_k, the
+        # identity behind demo 01 and certificate._cm_sqrt_minus7
+        for k in [*range(1, 301), 3779, 2**14 + 1]:
+            t, t_next = trace_mod(k)
+            assert (t - 2 * t_next) % 7 == 0, k
+            v = (t - 2 * t_next) // 7
+            u, w = 1 + t - v, 2 * v
+            assert u * u + u * w + 2 * w * w == jk_closed(k).value, k
 
     def test_trace_plus_power_of_two_shape(self):
         for k in [*range(1, 80), 3779, 2**14 + 1]:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cm7prime.quad_ring import (ALPHA, ONE, QuadInt, jk_element, qi_conj,
-                                qi_mul, qi_norm, qi_pow)
+from quad_ring import (ALPHA, ONE, QuadInt, jk_element, qi_conj, qi_mul,
+                       qi_norm, qi_pow)
 
 COEFF = st.integers(min_value=-(2**64), max_value=2**64)
 QUAD = st.builds(QuadInt, COEFF, COEFF)
