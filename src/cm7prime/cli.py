@@ -17,7 +17,7 @@ import sys
 from . import certificate as cert_mod
 from . import jk_sequence, prover
 
-_MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L + 1 factors
+_MAX_SIEVE_LIMIT = 10**8  # the sieve keeps every prime <= L and L / 4 factors
 _MAX_K = 2**24  # jk_closed runs one exact Lucas ladder step per bit of k
 
 

@@ -31,6 +31,14 @@ search over j finds it.  Since (n - x) // s <= n, no q > n is ever read.
 For inert ell a zero needs ord_ell(2) <= n + 2, and such an order has no
 prime factor above n + 2.
 
+Memory grows with L in three places, each kept compact.  sieve_range
+holds the sieving primes in a typed array, 4 bytes each below 2^32.  The
+"period" engine's least-factor table covers only the odd m <= L / 2,
+about L / 4 entries of 2 bytes.  Each lane returns its hits as two typed
+arrays, merged once into per_prime.  At L = 10^7 that is 2.7 MB of primes
+and 5 MB of table, against 24 MB and 20 MB for a list of ints and a
+table with one entry per integer up to L.
+
 The default is "period" at every size.  "numpy", the package's one import
 of numpy, runs only when named: the benchmark's engine tour still times
 it, and it goes with that tour (ROADMAP item 3).
@@ -38,12 +46,13 @@ it, and it goes with that tour (ROADMAP item 3).
 
 from __future__ import annotations
 
+import heapq
 import os
 from array import array
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import lanes
 from .jk_sequence import _recurrence, jk_mod_stream, jk_stream, trace_mod
@@ -52,6 +61,9 @@ from .jk_sequence import _recurrence, jk_mod_stream, jk_stream, trace_mod
 # primes on; below it the fork and the merge cost more than half the
 # primes' work (README, Performance notes).
 _LANE_MIN_PRIMES = 2000
+
+# One lane's hits: the primes that hit, ascending, and their hit counts.
+_Run = tuple[array, array]
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,7 @@ def _small_j(n: int, limit: int) -> dict[int, int]:
     return small
 
 
-def _engine_python(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:
+def _engine_python(n: int, primes: Sequence[int]) -> tuple[bytearray, dict[int, int]]:
     elim = bytearray(n + 1)
     per_prime: dict[int, int] = {}
     for ell in primes:
@@ -111,22 +123,35 @@ def _engine_python(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
 
 
 def _least_factors(top: int) -> array:
-    """spf[m] = the least prime factor of m for m <= top when that factor is
-    <= sqrt(top), else 0 (m is 1 or a prime)."""
+    """spf[m >> 1] = the least prime factor of the odd m <= top when m is
+    composite, else 0 (m is 1 or a prime).
+
+    An odd composite m <= top has its least factor at most sqrt(top), so
+    the odd primes up to sqrt(top) fill the table of (top + 1) // 2
+    entries.  The period engine needs only top = (L - 1) // 2 (ell - 1 is
+    even, and _prime_powers strips its power of two first), so about L / 4
+    entries, of 2 bytes each while sqrt(top) < 2^16.
+    """
     root = isqrt(top)
-    spf = array("H" if root < 1 << 16 else "I", [0]) * (top + 1)
-    for p in reversed(list(iter_primes(root))):  # smaller p overwrite larger
-        count = len(range(p * p, top + 1, p))
-        spf[p * p::p] = array(spf.typecode, [p]) * count
+    spf = array("H" if root < 1 << 16 else "I", [0]) * ((top + 1) >> 1)
+    for p in reversed(list(iter_primes(root))[1:]):  # smaller p overwrite larger
+        count = len(range((p * p) >> 1, len(spf), p))
+        spf[(p * p) >> 1::p] = array(spf.typecode, [p]) * count
     return spf
 
 
 def _prime_powers(m: int, spf: array, top: int) -> list[tuple[int, int]]:
-    """(q, q^a) for each prime power q^a exactly dividing m with q <= top,
-    ascending in q.  The factors of m above top are never looked at."""
-    out = []
+    """(q, q^a) for each prime power q^a exactly dividing the even m with
+    q <= top, ascending in q; spf is _least_factors(t) for a t >= m / 2.
+
+    m & -m is the power of two, and what is left is odd, so spf covers it.
+    The factors of m above top are never looked at.
+    """
+    b = m & -m
+    out = [(2, b)] if top >= 2 else []
+    m //= b
     while m > 1:
-        q = spf[m] or m
+        q = spf[m >> 1] or m
         if q > top:
             break
         b = q
@@ -314,7 +339,7 @@ def _inert_zeros(ell: int, powers: list[tuple[int, int]], n: int) -> list[int]:
     return zeros
 
 
-def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:
+def _engine_period(n: int, primes: Sequence[int]) -> tuple[bytearray, dict[int, int]]:
     """Zeros of J_k mod ell by discrete logarithms in Z[alpha]/ell.
 
     ell | J_k = N(1 + 2 alpha^k) exactly when alpha^k = -1/2 in one
@@ -326,21 +351,31 @@ def _engine_period(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]
 
     Each prime is one independent computation, so from _LANE_MIN_PRIMES
     primes on, where lanes.lane_obstacle finds nothing in the way, a
-    forked lane takes every other prime (_two_lanes).
+    forked lane takes every other prime (_two_lanes).  Each lane's hits
+    come as an ascending run of primes and counts, and per_prime is
+    built from one merge of the runs, in ascending prime order.
     """
     if not primes:
         return bytearray(n + 1), {}
-    spf = _least_factors(primes[-1])
+    spf = _least_factors((primes[-1] - 1) >> 1)
     if len(primes) >= _LANE_MIN_PRIMES and lanes.lane_obstacle() is None:
-        return _two_lanes(n, primes, spf)
-    return _period_zeros(n, primes, spf)
+        elim, *runs = _two_lanes(n, primes, spf)
+    else:
+        elim, *runs = _period_zeros(n, primes, spf)
+    return elim, dict(heapq.merge(*(zip(hit, counts) for hit, counts in runs)))
 
 
-def _period_zeros(n: int, primes: list[int],
-                  spf: array) -> tuple[bytearray, dict[int, int]]:
-    """_engine_period's work on one lane, given the least-factor table."""
+def _uint_array(top: int) -> array:
+    """An empty array of unsigned ints that holds every value up to top."""
+    return array("I" if top < 1 << 32 else "Q")
+
+
+def _period_zeros(n: int, primes: Sequence[int],
+                  spf: array) -> tuple[bytearray, _Run]:
+    """_engine_period's work on one lane, given the least-factor table: the
+    mask, and the primes that hit with their hit counts, ascending."""
     elim = bytearray(n + 1)
-    per_prime: dict[int, int] = {}
+    hit, counts = _uint_array(primes[-1] if primes else 0), _uint_array(n)
     for ell in primes:
         powers = _prime_powers(ell - 1, spf, n + 2)
         split = ell % 7 in (1, 2, 4)
@@ -348,50 +383,55 @@ def _period_zeros(n: int, primes: list[int],
         for k in zeros:
             elim[k] = 1
         if zeros:
-            per_prime[ell] = len(zeros)
-    return elim, per_prime
+            hit.append(ell)
+            counts.append(len(zeros))
+    return elim, (hit, counts)
 
 
-def _two_lanes(n: int, primes: list[int],
-               spf: array) -> tuple[bytearray, dict[int, int]]:
-    """_period_zeros(n, primes, spf) on two lanes, with the same result.
+def _two_lanes(n: int, primes: Sequence[int],
+               spf: array) -> tuple[bytearray, _Run, _Run]:
+    """_period_zeros(n, primes, spf) on two lanes: the ORed mask and each
+    lane's run of primes and counts.
 
-    A lanes.Lane takes primes[1::2] and sends (bytes(elim), per_prime)
-    back through a pipe by marshal; this process takes primes[::2], then
-    blocks on the pipe until the lane has sent all and exited.  The masks
-    are ORed, and per_prime is merged in ascending prime order, the order
-    one lane inserts it in.  A lane that dies or sends short data raises
-    lanes.LaneLost: no partial result is returned.
+    A lanes.Lane takes primes[1::2] and sends its mask, the typecode of
+    its primes and both arrays as raw bytes through a pipe in one marshal
+    message; this process takes primes[::2], then blocks on the pipe until
+    the lane has sent all and exited.  A lane that dies, sends short data
+    or arrays of unequal length raises lanes.LaneLost: no partial result
+    is returned.
     """
     import marshal
 
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as inbox, open(write_fd, "wb") as outbox:
         def lane() -> None:
-            elim, per_prime = _period_zeros(n, primes[1::2], spf)
-            outbox.write(marshal.dumps((bytes(elim), per_prime)))
+            elim, (hit, counts) = _period_zeros(n, primes[1::2], spf)
+            outbox.write(marshal.dumps((bytes(elim), hit.typecode,
+                                        hit.tobytes(), counts.tobytes())))
             outbox.flush()
 
         with lanes.Lane(lane) as other:
             outbox.close()  # so inbox ends when the lane does
-            elim, per_prime = _period_zeros(n, primes[::2], spf)
+            elim, (hit, counts) = _period_zeros(n, primes[::2], spf)
             sent = inbox.read()  # retried after a signal handler (PEP 475)
             code = other.wait()
     try:
-        their_elim, their_per_prime = marshal.loads(sent)
+        their_elim, typecode, their_hit, their_counts = marshal.loads(sent)
+        their_hit = array(typecode, their_hit)
+        their_counts = array(counts.typecode, their_counts)
     except (EOFError, ValueError, TypeError):
         their_elim = None
     if code != 0 or not isinstance(their_elim, bytes) \
-            or len(their_elim) != n + 1:
+            or len(their_elim) != n + 1 or len(their_hit) != len(their_counts):
         raise lanes.LaneLost(f"the sieve lane exited with code {code} after "
                              f"sending {len(sent)} bytes")
     elim = bytearray((int.from_bytes(elim, "little")
                       | int.from_bytes(their_elim, "little"))
                      .to_bytes(n + 1, "little"))
-    return elim, dict(sorted((*per_prime.items(), *their_per_prime.items())))
+    return elim, (hit, counts), (their_hit, their_counts)
 
 
-def _engine_numpy(n: int, primes: list[int]) -> tuple[bytearray, dict[int, int]]:
+def _engine_numpy(n: int, primes: Sequence[int]) -> tuple[bytearray, dict[int, int]]:
     import numpy as np
 
     elim = bytearray(n + 1)
@@ -426,7 +466,8 @@ def sieve_range(n: int, L: int, engine: str = "period") -> SieveReport:
         raise ValueError("L must be >= 2")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    primes = [p for p in iter_primes(L) if p not in (2, 7)]
+    primes = _uint_array(L)
+    primes.extend(p for p in iter_primes(L) if p not in (2, 7))
     small = _small_j(n, L)
     elim, per_prime = _ENGINES[engine](n, primes)
     # the guard J_k > ell: J_k is in per_prime exactly when it is itself a

@@ -7,7 +7,9 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,9 @@ import pytest
 from cm7prime import lanes, prover, sieve
 from cm7prime.jk_sequence import jk_closed, jk_mod_stream, trace_mod
 from cm7prime.sieve import (_ENGINES, _bsgs, _engine_python, _inert_zeros,
-                            _root_zeros, _split_zeros, _sqrt_mod, iter_primes,
-                            sieve_range, survivors)
+                            _least_factors, _prime_powers, _root_zeros,
+                            _split_zeros, _sqrt_mod, iter_primes, sieve_range,
+                            survivors)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -297,7 +300,7 @@ class TestSieveLane:
         assert two_lane_calls == []
 
     @needs_a_lane
-    @pytest.mark.parametrize("how", ["exit", "raise", "short"])
+    @pytest.mark.parametrize("how", ["exit", "raise", "short", "unequal"])
     def test_a_lost_lane_raises_and_leaves_no_child(self, how, monkeypatch):
         import marshal
 
@@ -306,15 +309,21 @@ class TestSieveLane:
         dumps = marshal.dumps
 
         def lane_fails(n, primes, spf):
-            if os.getpid() != parent and how != "short":
+            elim, (hit, counts) = period_zeros(n, primes, spf)
+            if os.getpid() != parent:
                 if how == "exit":
                     os._exit(0)
-                raise RuntimeError("the lane fails")
-            return period_zeros(n, primes, spf)
+                if how == "raise":
+                    raise RuntimeError("the lane fails")
+                if how == "unequal":  # one count more than primes that hit
+                    counts.append(1)
+            return elim, (hit, counts)
 
         monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 1)
         monkeypatch.setattr(sieve, "_period_zeros", lane_fails)
-        monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+        if how == "short":
+            monkeypatch.setattr(marshal, "dumps",
+                                lambda value: dumps(value)[:-1])
         mask = _cpu_mask()
         with pytest.raises(lanes.LaneLost):
             sieve_range(400, 10**4)
@@ -374,14 +383,16 @@ def _powers_to(m: int, top: int) -> list[tuple[int, int]]:
     """(q, q^a) for the prime powers exactly dividing m with q <= top, by
     trial division: the partial factorisation the finders are promised."""
     out, q = [], 2
-    while q <= top and m > 1:
+    while q * q <= m:
         b = 1
         while m % q == 0:
             m, b = m // q, b * q
         if b > 1:
             out.append((q, b))
         q += 1
-    return out
+    if m > 1:
+        out.append((m, m))
+    return [(q, b) for q, b in out if q <= top]
 
 
 def _finder_zeros(ell: int, n: int) -> list[int]:
@@ -439,6 +450,90 @@ class TestPartialFactorisation:
         ell, n = 340337, 10**5
         zeros = _finder_zeros(ell, n)
         assert len(zeros) == 1 and zeros == _stream_zeros(ell, n)
+
+
+class TestFactorTable:
+    """The period engine's least-factor table covers only the odd m, at
+    index m >> 1, up to (L - 1) / 2: _prime_powers strips the power of two
+    of the even ell - 1 before it reads the table."""
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 9, 10, 25, 10**5])
+    def test_least_factors_match_trial_division(self, top):
+        spf = _least_factors(top)
+        assert len(spf) == (top + 1) // 2
+        assert not any(spf[:1])  # m = 1
+        for m in range(3, top + 1, 2):
+            q = next((q for q in range(3, isqrt(m) + 1, 2) if m % q == 0), m)
+            assert spf[m >> 1] == (q if q < m else 0), m
+
+    def test_prime_powers_match_trial_division(self):
+        primes = [p for p in iter_primes(2 * 10**4) if p != 2]
+        spf = _least_factors((primes[-1] - 1) >> 1)
+        # ell - 1 is a power of two for these
+        assert {3, 5, 17, 257} <= set(primes)
+        for ell in primes:
+            factors = _powers_to(ell - 1, ell)
+            # several n, and bounds right at and just below each factor
+            tops = {n + 2 for n in (4, 50, 1000, 10**4)}
+            tops |= {q + d for q, _ in factors for d in (-1, 0)}
+            for top in tops:
+                assert (_prime_powers(ell - 1, spf, top)
+                        == _powers_to(ell - 1, top)), (ell, top)
+
+
+class TestMemory:
+    """The sieving primes live in a typed array, the factor table covers
+    the odd m <= L / 2, and each lane returns its hits as typed arrays."""
+
+    @pytest.mark.parametrize("two", [False, pytest.param(True,
+                                                        marks=needs_a_lane)])
+    def test_tracemalloc_peak_at_a_million(self, two, two_lane_calls,
+                                           monkeypatch):
+        # 4.1 MiB on one lane and 4.6 MiB on two, against 8.3 and 8.9 MiB
+        # with the primes in a list, one table entry per integer up to L
+        # and per_prime merged through a list of tuples
+        if not two:
+            monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 10**9)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sieve_range(10**5, 10**6)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert two_lane_calls == ([10**5] if two else [])
+        assert peak < 6 * 2**20
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+    def test_peak_rss_at_ten_million(self):
+        # about 48 MiB, against 92 MiB before the typed arrays and the
+        # half-range table; the report's digest is pinned in
+        # TestDiscreteLogEngine.  On Linux a process's ru_maxrss keeps the
+        # high-water mark of the process that forked it across exec, here
+        # this test run's, so the sieve runs in a child forked from the
+        # fresh interpreter, whose mark starts at that interpreter's RSS
+        res = _python(
+            "import os, resource, sys, traceback\n"
+            "from cm7prime.sieve import sieve_range\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    try:\n"
+            "        sieve_range(10**6, 10**7)\n"
+            "        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "        print(rss if sys.platform == 'darwin' else rss * 1024,\n"
+            "              flush=True)\n"
+            "    except BaseException:\n"
+            "        traceback.print_exc()\n"
+            "        os._exit(1)\n"
+            "    os._exit(0)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 64 * 2**20
 
 
 class TestBabyStepGiantStep:
