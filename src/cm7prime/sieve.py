@@ -394,7 +394,8 @@ def _two_lanes(n: int, primes: Sequence[int],
     lane's run of primes and counts.
 
     A lanes.Lane takes primes[1::2] and sends its mask, the typecode of
-    its primes and both arrays as raw bytes through a pipe in one marshal
+    its primes (its last prime and this process's may lie on either side
+    of 2^32) and both arrays as raw bytes through a pipe in one marshal
     message; this process takes primes[::2], then blocks on the pipe until
     the lane has sent all and exited.  A lane that dies, sends short data
     or arrays of unequal length raises lanes.LaneLost: no partial result

@@ -290,8 +290,10 @@ class TestSieveLane:
         monkeypatch.setattr(sieve, "_LANE_MIN_PRIMES", 10**9)
         one = sieve_range(n, limit)
         assert two_lane_calls == [n]
-        assert two == one == sieve_range(n, limit, engine="python")
-        assert list(two.per_prime.items()) == list(one.per_prime.items())
+        py = sieve_range(n, limit, engine="python")
+        assert two == one == py
+        assert (list(two.per_prime.items()) == list(one.per_prime.items())
+                == list(py.per_prime.items()))
 
     def test_small_sieves_stay_on_one_lane(self, two_lane_calls):
         assert sieve._LANE_MIN_PRIMES > sum(1 for _ in iter_primes(10**4))
