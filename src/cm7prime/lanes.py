@@ -1,11 +1,12 @@
-"""Forked lanes: whether this process may fork one now, and the fork that
-gives it a CPU of its own.
+"""Forked lanes: whether this process may fork one now, the fork that
+gives it a CPU of its own, and split, which shares a list of independent
+items between this process and a lane.
 
 A lane is a child process that computes one share of a result while its
-caller computes the rest: half of each doubling step (mont_curve) or
-every other sieving prime (sieve).  A lane costs a fork, so each caller
-opens one only above a measured size, and only where lane_obstacle finds
-nothing in the way:
+caller computes the rest: half of each doubling step (mont_curve), every
+other sieving prime (sieve) or every other survivor that search tests
+(prover).  A lane costs a fork, so each caller opens one only above a
+measured size, and only where lane_obstacle finds nothing in the way:
 
   * os.fork exists;
   * at least two CPUs are usable, read anew at each call, so a process
@@ -15,7 +16,11 @@ nothing in the way:
   * multiprocessing did not start the process, as it starts a pool
     worker, whose siblings hold the other cores.  multiprocessing is
     looked up in sys.modules, never imported: a process that has not
-    loaded it was not started by it.
+    loaded it was not started by it;
+  * the process is not a lane and has none open, so lanes never nest:
+    a search lane's doubling chains run on one lane each, as do the
+    caller's while its search lane runs, whether or not the CPU pins
+    below took hold.
 
 In a fresh process the kernel often forks the child onto the caller's
 CPU and leaves it there, and then both run on one CPU for the whole
@@ -27,15 +32,24 @@ restores the caller's CPU mask on every way out.
 from __future__ import annotations
 
 import contextlib
+import marshal
 import os
 import signal
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from typing import TypeVar
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+# Whether this process is a lane or has one open.  Lane sets it before
+# the fork, so the child inherits it, and the caller clears it on exit.
+_in_lane = False
 
 
 class LaneLost(RuntimeError):
-    """A lane ended before it delivered its share."""
+    """A lane ended before it delivered its share, or sent a malformed one."""
 
 
 def usable_cpus() -> int:
@@ -57,6 +71,8 @@ def lane_obstacle() -> str | None:
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.parent_process() is not None:
         return "multiprocessing started this process"
+    if _in_lane:
+        return "this process is a lane, or has one open"
     return None
 
 
@@ -82,7 +98,8 @@ class Lane:
     has returned and 1 if it raised, so it never flushes stdio buffers
     or runs exit handlers that it inherited.  On exit from the with
     block the child is killed, unless done() or wait() has reaped it
-    already, and reaped, and the caller's CPU mask is restored.
+    already, and reaped, and the caller's CPU mask is restored.  Until
+    then lane_obstacle refuses a further lane, in the child as well.
     """
 
     def __init__(self, body: Callable[[], object]) -> None:
@@ -92,6 +109,7 @@ class Lane:
         self._status: int | None = None  # waitpid status, once reaped
 
     def __enter__(self) -> "Lane":
+        global _in_lane
         there = None
         if hasattr(os, "sched_setaffinity"):
             self._mask = os.sched_getaffinity(0)
@@ -100,6 +118,7 @@ class Lane:
             i = cpus.index(here) if here in self._mask else 0
             there = {cpus[(i + 1) % len(cpus)]}
             _pin({cpus[i]})
+        _in_lane = True
         try:
             self._pid = os.fork()
         except BaseException:
@@ -139,5 +158,44 @@ class Lane:
             self._restore()
 
     def _restore(self) -> None:
+        global _in_lane
+        _in_lane = False
         if self._mask is not None:
             _pin(self._mask)
+
+
+def split(work: Callable[[Sequence], _T], items: Sequence,
+          rebuild: Callable[[object], _R]) -> tuple[_T, _R]:
+    """work(items[::2]) in this process and rebuild(work(items[1::2]))
+    from a Lane, computed at the same time.
+
+    The lane sends what work returned through a pipe in one marshal
+    message, so work must return values that marshal writes; bytes-like
+    ones, such as a bytearray or an array, arrive as bytes.  This process
+    runs its share, then blocks on the pipe until the lane has sent all
+    and exited.  rebuild turns the lane's message back into the caller's
+    types and raises ValueError or TypeError on one of the wrong shape.
+    A lane that exits nonzero, or sends a message that marshal cannot
+    read or that rebuild rejects, raises LaneLost: no partial result is
+    returned.  A lane whose caller was killed runs its share to the end
+    and exits when it finds the pipe closed.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as inbox, open(write_fd, "wb") as outbox:
+        def lane() -> None:
+            outbox.write(marshal.dumps(work(items[1::2])))
+            outbox.flush()
+
+        with Lane(lane) as other:
+            outbox.close()  # so inbox ends when the lane does
+            mine = work(items[::2])
+            sent = inbox.read()  # retried after a signal handler (PEP 475)
+            code = other.wait()
+    lost = LaneLost(f"a lane exited with code {code} after sending "
+                    f"{len(sent)} bytes")
+    if code != 0:
+        raise lost
+    try:
+        return mine, rebuild(marshal.loads(sent))
+    except (EOFError, ValueError, TypeError) as e:
+        raise lost from e

@@ -27,9 +27,10 @@ the whole run at most 6.5k multiplications-plus-squarings for large k).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
+from . import lanes
 from .jk_sequence import forced_composite, jk_closed
 from .lanes import usable_cpus
 from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
@@ -37,6 +38,13 @@ from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
                          montgomerize, sqrt_minus7)
 from .sieve import sieve_range, survivors
 from .twist_tables import select_twist
+
+
+# search tests its survivors on two lanes from this much estimated work
+# on (_lane_work), about 40 ms of step 2 on one core; two lanes break
+# even near a third of it, where the fork and the copies it makes cost
+# what the second CPU saves (README, Performance notes).
+_LANE_MIN_WORK = 10**7
 
 
 class VerdictKind(Enum):
@@ -157,10 +165,14 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     survivor.  Ordered by k.
 
     A sieve_limit below 3 sieves by no prime, so every k is tested.
-    Results are identical for any worker count; workers > 1 spreads
-    candidates over at most min(workers, candidates, usable CPUs)
-    processes, each of which already holds a core, so their chains run
-    on one lane.
+    Results are identical for any worker count, and so are the rows but
+    for their timing fields: elapsed, step2_seconds and step7_seconds.
+    workers > 1 spreads candidates over at most min(workers, candidates,
+    usable CPUs) processes, each of which already holds a core, so their
+    chains run on one lane.  Otherwise, from _LANE_MIN_WORK estimated
+    work on, where lanes.lane_obstacle finds nothing in the way, a forked
+    lane tests every other survivor (_two_lanes); each side's chains then
+    run on one lane, since lanes do not nest.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -170,10 +182,46 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     report = sieve_range(max(k_max, 4), max(sieve_limit, 2))
     ks = [k for k in survivors(report) if k_min <= k <= k_max]
     workers = min(workers, len(ks), usable_cpus())
-    if workers <= 1:
-        runs = map(test_jk, ks)
-    else:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(test_jk, ks, chunksize=8))
+    elif _lane_work(ks) >= _LANE_MIN_WORK and lanes.lane_obstacle() is None:
+        runs = _two_lanes(ks)
+    else:
+        runs = map(test_jk, ks)
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]
+
+
+def _lane_work(ks: list[int]) -> int:
+    """search's estimate of the work of testing ks: the summed square of
+    the bit length of J_k, k + 2 give or take one, over the k that reach
+    step 2.  Step 2 is k + 2 squarings of (k + 2)-bit residues, and its
+    time per (k + 2)^2 stays within 3-8 ns from k = 100 to 3000."""
+    return sum((k + 2) ** 2 for k in ks if not forced_composite(k))
+
+
+def _plain_runs(ks) -> list[tuple]:
+    """test_jk over ks, each run as plain values that marshal writes."""
+    return [(verdict.kind.value, verdict.witness, *astuple(stats))
+            for verdict, stats in map(test_jk, ks)]
+
+
+def _runs(plain, count: int) -> list[tuple[Verdict, RunStats]]:
+    """_plain_runs' rows back as (Verdict, RunStats); ValueError or
+    TypeError unless there are count well-formed rows."""
+    if len(plain) != count:
+        raise ValueError(f"{len(plain)} runs, not {count}")
+    return [(Verdict(VerdictKind(kind), witness), RunStats(*stats))
+            for kind, witness, *stats in plain]
+
+
+def _two_lanes(ks: list[int]) -> list[tuple[Verdict, RunStats]]:
+    """test_jk over ks on two lanes, in k order: lanes.split gives a lane
+    ks[1::2] and this process ks[::2].  A lane that dies or sends short
+    or malformed runs raises lanes.LaneLost."""
+    mine, theirs = lanes.split(_plain_runs, ks,
+                               lambda plain: _runs(plain, len(ks) // 2))
+    runs = [None] * len(ks)
+    runs[::2], runs[1::2] = _runs(mine, len(ks) - len(ks) // 2), theirs
+    return runs

@@ -47,7 +47,6 @@ it, and it goes with that tour (ROADMAP item 3).
 from __future__ import annotations
 
 import heapq
-import os
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -393,43 +392,33 @@ def _two_lanes(n: int, primes: Sequence[int],
     """_period_zeros(n, primes, spf) on two lanes: the ORed mask and each
     lane's run of primes and counts.
 
-    A lanes.Lane takes primes[1::2] and sends its mask, the typecode of
-    its primes (its last prime and this process's may lie on either side
-    of 2^32) and both arrays as raw bytes through a pipe in one marshal
-    message; this process takes primes[::2], then blocks on the pipe until
-    the lane has sent all and exited.  A lane that dies, sends short data
-    or arrays of unequal length raises lanes.LaneLost: no partial result
-    is returned.
+    lanes.split gives a lane primes[1::2] and this process primes[::2].
+    The lane sends its mask, the typecode of its primes (its last prime
+    and this process's may lie on either side of 2^32) and both arrays,
+    which arrive as raw bytes.  A mask of the wrong length or arrays of
+    unequal length raise lanes.LaneLost, as a lane that dies or sends
+    short data does.
     """
-    import marshal
+    def share(part: Sequence[int]) -> tuple[bytearray, str, array, array]:
+        elim, (hit, counts) = _period_zeros(n, part, spf)
+        return elim, hit.typecode, hit, counts
 
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as inbox, open(write_fd, "wb") as outbox:
-        def lane() -> None:
-            elim, (hit, counts) = _period_zeros(n, primes[1::2], spf)
-            outbox.write(marshal.dumps((bytes(elim), hit.typecode,
-                                        hit.tobytes(), counts.tobytes())))
-            outbox.flush()
+    def rebuild(sent) -> tuple[bytes, _Run]:
+        elim, typecode, hit_bytes, count_bytes = sent
+        hit, counts = array(typecode), _uint_array(n)
+        hit.frombytes(hit_bytes)
+        counts.frombytes(count_bytes)
+        if not isinstance(elim, bytes) or len(elim) != n + 1 \
+                or len(hit) != len(counts):
+            raise ValueError("a malformed sieve share")
+        return elim, (hit, counts)
 
-        with lanes.Lane(lane) as other:
-            outbox.close()  # so inbox ends when the lane does
-            elim, (hit, counts) = _period_zeros(n, primes[::2], spf)
-            sent = inbox.read()  # retried after a signal handler (PEP 475)
-            code = other.wait()
-    try:
-        their_elim, typecode, their_hit, their_counts = marshal.loads(sent)
-        their_hit = array(typecode, their_hit)
-        their_counts = array(counts.typecode, their_counts)
-    except (EOFError, ValueError, TypeError):
-        their_elim = None
-    if code != 0 or not isinstance(their_elim, bytes) \
-            or len(their_elim) != n + 1 or len(their_hit) != len(their_counts):
-        raise lanes.LaneLost(f"the sieve lane exited with code {code} after "
-                             f"sending {len(sent)} bytes")
+    (elim, _, hit, counts), (their_elim, theirs) = lanes.split(share, primes,
+                                                               rebuild)
     elim = bytearray((int.from_bytes(elim, "little")
                       | int.from_bytes(their_elim, "little"))
                      .to_bytes(n + 1, "little"))
-    return elim, (hit, counts), (their_hit, their_counts)
+    return elim, (hit, counts), theirs
 
 
 def _engine_numpy(n: int, primes: Sequence[int]) -> tuple[bytearray, dict[int, int]]:

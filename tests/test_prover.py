@@ -1,10 +1,11 @@
 """End-to-end verdicts, run statistics, and the range search."""
 
+import marshal
 import os
 
 import pytest
 
-from cm7prime import lanes, prover
+from cm7prime import lanes, mont_curve, prover
 from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import XZPoint
@@ -13,6 +14,19 @@ from cm7prime.prover import test_jk as prove_jk
 
 TABLE_PRIMES_TO_100 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
                        65, 77, 84, 87, 100]
+
+
+_LANE_OBSTACLE = lanes.lane_obstacle()
+needs_a_lane = pytest.mark.skipif(
+    _LANE_OBSTACLE is not None,
+    reason=f"search cannot fork a lane here: {_LANE_OBSTACLE}")
+
+
+def _cpu_mask() -> set[int] | None:
+    """This process's CPU mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return None
 
 
 def _strip(rows):
@@ -222,3 +236,120 @@ class TestSearch:
     def test_results_sorted_by_k(self):
         ks = [k for k, _, _ in search(2, 200, 10**4)]
         assert ks == sorted(ks)
+
+
+def _run_fields(verdict, stats):
+    """Everything of one test_jk run but its three timings."""
+    return (verdict, stats.multiplications, stats.squarings,
+            stats.additions, stats.gcd_calls, stats.step_reached,
+            stats.early_exit, stats.step7_multiplications,
+            stats.step7_squarings, stats.step7_additions)
+
+
+class TestSearchLane:
+    """Without a pool, from _LANE_MIN_WORK on, a forked lane tests every
+    other survivor; the rows are test_jk's but for their timings."""
+
+    @pytest.fixture
+    def lane_searches(self, monkeypatch):
+        """Force the search lane's gate down; log the survivors each
+        two-lane search was given."""
+        calls = []
+        two_lanes = prover._two_lanes
+
+        def spy(ks):
+            calls.append(list(ks))
+            return two_lanes(ks)
+
+        monkeypatch.setattr(prover, "_LANE_MIN_WORK", 0)
+        monkeypatch.setattr(prover, "_two_lanes", spy)
+        return calls
+
+    @needs_a_lane
+    @pytest.mark.parametrize("k_min, k_max", [(2, 200), (5, 5), (2, 3),
+                                              (2, 4)])
+    def test_lanes_match_test_jk(self, k_min, k_max, lane_searches):
+        # no sieving: (2, 200) has ForcedCongruence, NoSqrtMinus7 and
+        # Prime rows; the others have 1, 2 and 3 survivors
+        mask = _cpu_mask()
+        rows = search(k_min, k_max, 2)
+        ks = list(range(k_min, k_max + 1))
+        assert lane_searches == [ks]
+        assert _cpu_mask() == mask  # the caller was pinned only meanwhile
+        assert [k for k, _, _ in rows] == ks
+        assert [_run_fields(v, s) for _, v, s in rows] == \
+            [_run_fields(*prove_jk(k)) for k in ks]
+        if k_max == 200:
+            assert {v.kind for _, v, _ in rows} == {
+                VerdictKind.FORCED_CONGRUENCE, VerdictKind.NO_SQRT_MINUS7,
+                VerdictKind.PRIME}
+
+    def test_small_searches_stay_inline(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(prover, "_two_lanes", calls.append)
+        ks = [k for k, _, _ in search(2, 400, 10**4)]
+        assert prover._lane_work(ks) < prover._LANE_MIN_WORK / 2
+        assert calls == []
+
+    @needs_a_lane
+    def test_lanes_do_not_nest(self, lane_searches, monkeypatch, tmp_path):
+        # with the CPU pins switched off both sides of a search see two
+        # usable CPUs, so only the open lane keeps their chains on one
+        log = tmp_path / "chain-lanes.txt"
+        log.write_text("")
+        two_lanes = mont_curve._two_lanes
+
+        def spy(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return two_lanes(*args)
+
+        monkeypatch.setattr(lanes, "_pin", lambda cpus: None)
+        monkeypatch.setattr(mont_curve, "_LANE_MIN_BITS", 0)
+        monkeypatch.setattr(mont_curve, "_LANE_MIN_COUNT", 1)
+        monkeypatch.setattr(mont_curve, "_two_lanes", spy)
+        rows = search(2, 60, 10**4)
+        assert len(lane_searches) == 1
+        assert sum(v.is_prime for _, v, _ in rows) > 2  # chains ran
+        assert log.read_text() == ""
+        assert lanes.lane_obstacle() is None  # the search's lane is closed
+        run_pipeline(17)  # so a chain here opens one again
+        assert log.read_text().split() == [str(os.getpid())]
+
+    @needs_a_lane
+    @pytest.mark.parametrize("how", ["exit", "raise", "short", "garbled",
+                                     "kind", "missing"])
+    def test_a_lost_lane_raises_and_leaves_no_child(self, how,
+                                                    lane_searches,
+                                                    monkeypatch):
+        parent = os.getpid()
+        plain_runs = prover._plain_runs
+        dumps = marshal.dumps
+
+        def lane_fails(ks):
+            runs = plain_runs(ks)
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(0)
+                if how == "raise":
+                    raise RuntimeError("the lane fails")
+                if how == "kind":  # a verdict kind that does not exist
+                    runs[0] = ("Maybe", *runs[0][1:])
+                if how == "missing":  # one run short
+                    runs.pop()
+            return runs
+
+        monkeypatch.setattr(prover, "_plain_runs", lane_fails)
+        if how == "short":
+            monkeypatch.setattr(marshal, "dumps",
+                                lambda value: dumps(value)[:-1])
+        if how == "garbled":
+            monkeypatch.setattr(marshal, "dumps", lambda value: b"\xff" * 64)
+        mask = _cpu_mask()
+        with pytest.raises(lanes.LaneLost):
+            search(2, 40, 2)
+        assert len(lane_searches) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # reaped, none left
+        assert _cpu_mask() == mask
+        assert lanes.lane_obstacle() is None
