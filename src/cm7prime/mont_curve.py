@@ -352,10 +352,11 @@ def double_chain(P: XZPoint, curve: MontCurveCtx, ctx: ModulusCtx,
     open: N has at least _LANE_MIN_BITS bits, the chain has at least
     _LANE_MIN_COUNT doublings, and _lane_obstacle finds x86-64 and
     nothing that lanes.lane_obstacle names (no os.fork, one usable CPU,
-    a second thread, a process that multiprocessing started), read anew
-    for each chain.  Otherwise the chain is a loop of xz_double, the
-    reference.  Either way ctx's counters grow by 2 squarings, 3
-    multiplications and 4 additions per step.
+    a second thread, a process that multiprocessing started, a process
+    that is a lane or has one open), read anew for each chain.
+    Otherwise the chain is a loop of xz_double, the reference.  Either
+    way ctx's counters grow by 2 squarings, 3 multiplications and 4
+    additions per step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
