@@ -3,10 +3,10 @@ gives it a CPU of its own, and split, which shares a list of independent
 items between this process and a lane.
 
 A lane is a child process that computes one share of a result while its
-caller computes the rest: half of each doubling step (mont_curve), every
-other sieving prime (sieve) or every other survivor that search tests
-(prover).  A lane costs a fork, so each caller opens one only above a
-measured size, and only where lane_obstacle finds nothing in the way:
+caller computes the rest: half of each doubling step (mont_curve) or
+every other sieving prime (sieve).  A lane costs a fork, so each caller
+opens one only above a measured size, and only where lane_obstacle finds
+nothing in the way (search's pool, which forks too, asks it as well):
 
   * os.fork exists;
   * at least two CPUs are usable, read anew at each call, so a process
@@ -17,10 +17,8 @@ measured size, and only where lane_obstacle finds nothing in the way:
     worker, whose siblings hold the other cores.  multiprocessing is
     looked up in sys.modules, never imported: a process that has not
     loaded it was not started by it;
-  * the process is not a lane and has none open, so lanes never nest:
-    a search lane's doubling chains run on one lane each, as do the
-    caller's while its search lane runs, whether or not the CPU pins
-    below took hold.
+  * the process is not a lane and has none open, so lanes never nest,
+    whether or not the CPU pins below took hold.
 
 In a fresh process the kernel often forks the child onto the caller's
 CPU and leaves it there, and then both run on one CPU for the whole
@@ -165,16 +163,17 @@ class Lane:
 
 
 def split(work: Callable[[Sequence], _T], items: Sequence,
+          dump: Callable[[_T], object],
           rebuild: Callable[[object], _R]) -> tuple[_T, _R]:
-    """work(items[::2]) in this process and rebuild(work(items[1::2]))
-    from a Lane, computed at the same time.
+    """work(items[::2]) in this process and work(items[1::2]) in a Lane,
+    computed at the same time.
 
-    The lane sends what work returned through a pipe in one marshal
-    message, so work must return values that marshal writes; bytes-like
+    The lane sends dump(work(items[1::2])) through a pipe in one marshal
+    message, so dump must return values that marshal writes; bytes-like
     ones, such as a bytearray or an array, arrive as bytes.  This process
     runs its share, then blocks on the pipe until the lane has sent all
-    and exited.  rebuild turns the lane's message back into the caller's
-    types and raises ValueError or TypeError on one of the wrong shape.
+    and exited.  rebuild turns the lane's message back into what work
+    returns and raises ValueError or TypeError on one of the wrong shape.
     A lane that exits nonzero, or sends a message that marshal cannot
     read or that rebuild rejects, raises LaneLost: no partial result is
     returned.  A lane whose caller was killed runs its share to the end
@@ -183,7 +182,7 @@ def split(work: Callable[[Sequence], _T], items: Sequence,
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as inbox, open(write_fd, "wb") as outbox:
         def lane() -> None:
-            outbox.write(marshal.dumps(work(items[1::2])))
+            outbox.write(marshal.dumps(dump(work(items[1::2]))))
             outbox.flush()
 
         with Lane(lane) as other:

@@ -27,7 +27,7 @@ the whole run at most 6.5k multiplications-plus-squarings for large k).
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 from . import lanes
@@ -40,11 +40,11 @@ from .sieve import sieve_range, survivors
 from .twist_tables import select_twist
 
 
-# search tests its survivors on two lanes from this much estimated work
-# on (_lane_work), about 40 ms of step 2 on one core; two lanes break
-# even near a third of it, where the fork and the copies it makes cost
-# what the second CPU saves (README, Performance notes).
-_LANE_MIN_WORK = 10**7
+# search with workers=1 opens a pool from this much estimated work on
+# (_survivor_work), about 60 ms of step 2 on one core: 1.5 times the
+# measured crossover, where a pool of two costs what the second CPU saves
+# (README, Performance notes).
+_POOL_MIN_WORK = 15 * 10**6
 
 
 class VerdictKind(Enum):
@@ -167,12 +167,12 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     A sieve_limit below 3 sieves by no prime, so every k is tested.
     Results are identical for any worker count, and so are the rows but
     for their timing fields: elapsed, step2_seconds and step7_seconds.
-    workers > 1 spreads candidates over at most min(workers, candidates,
+    workers > 1 spreads survivors over at most min(workers, survivors,
     usable CPUs) processes, each of which already holds a core, so their
-    chains run on one lane.  Otherwise, from _LANE_MIN_WORK estimated
-    work on, where lanes.lane_obstacle finds nothing in the way, a forked
-    lane tests every other survivor (_two_lanes); each side's chains then
-    run on one lane, since lanes do not nest.
+    chains run on one lane.  workers=1 does the same with every usable
+    CPU once the survivors' estimated work reaches _POOL_MIN_WORK and
+    lanes.lane_obstacle finds nothing in the way, since the pool forks
+    as a lane does; below that it tests them in this process.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -181,47 +181,22 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     # the sieve needs n >= 4 and L >= 2; no J_k is <= 2
     report = sieve_range(max(k_max, 4), max(sieve_limit, 2))
     ks = [k for k in survivors(report) if k_min <= k <= k_max]
+    if workers == 1 and _survivor_work(ks) >= _POOL_MIN_WORK \
+            and lanes.lane_obstacle() is None:
+        workers = usable_cpus()
     workers = min(workers, len(ks), usable_cpus())
-    if workers > 1:
+    if workers <= 1:
+        runs = map(test_jk, ks)
+    else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(test_jk, ks, chunksize=8))
-    elif _lane_work(ks) >= _LANE_MIN_WORK and lanes.lane_obstacle() is None:
-        runs = _two_lanes(ks)
-    else:
-        runs = map(test_jk, ks)
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]
 
 
-def _lane_work(ks: list[int]) -> int:
+def _survivor_work(ks: list[int]) -> int:
     """search's estimate of the work of testing ks: the summed square of
     the bit length of J_k, k + 2 give or take one, over the k that reach
     step 2.  Step 2 is k + 2 squarings of (k + 2)-bit residues, and its
     time per (k + 2)^2 stays within 3-8 ns from k = 100 to 3000."""
     return sum((k + 2) ** 2 for k in ks if not forced_composite(k))
-
-
-def _plain_runs(ks) -> list[tuple]:
-    """test_jk over ks, each run as plain values that marshal writes."""
-    return [(verdict.kind.value, verdict.witness, *astuple(stats))
-            for verdict, stats in map(test_jk, ks)]
-
-
-def _runs(plain, count: int) -> list[tuple[Verdict, RunStats]]:
-    """_plain_runs' rows back as (Verdict, RunStats); ValueError or
-    TypeError unless there are count well-formed rows."""
-    if len(plain) != count:
-        raise ValueError(f"{len(plain)} runs, not {count}")
-    return [(Verdict(VerdictKind(kind), witness), RunStats(*stats))
-            for kind, witness, *stats in plain]
-
-
-def _two_lanes(ks: list[int]) -> list[tuple[Verdict, RunStats]]:
-    """test_jk over ks on two lanes, in k order: lanes.split gives a lane
-    ks[1::2] and this process ks[::2].  A lane that dies or sends short
-    or malformed runs raises lanes.LaneLost."""
-    mine, theirs = lanes.split(_plain_runs, ks,
-                               lambda plain: _runs(plain, len(ks) // 2))
-    runs = [None] * len(ks)
-    runs[::2], runs[1::2] = _runs(mine, len(ks) - len(ks) // 2), theirs
-    return runs

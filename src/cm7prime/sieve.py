@@ -399,8 +399,9 @@ def _two_lanes(n: int, primes: Sequence[int],
     unequal length raise lanes.LaneLost, as a lane that dies or sends
     short data does.
     """
-    def share(part: Sequence[int]) -> tuple[bytearray, str, array, array]:
-        elim, (hit, counts) = _period_zeros(n, part, spf)
+    def dump(run: tuple[bytearray, _Run]) -> tuple[bytearray, str, array,
+                                                   array]:
+        elim, (hit, counts) = run
         return elim, hit.typecode, hit, counts
 
     def rebuild(sent) -> tuple[bytes, _Run]:
@@ -413,12 +414,12 @@ def _two_lanes(n: int, primes: Sequence[int],
             raise ValueError("a malformed sieve share")
         return elim, (hit, counts)
 
-    (elim, _, hit, counts), (their_elim, theirs) = lanes.split(share, primes,
-                                                               rebuild)
+    (elim, mine), (their_elim, theirs) = lanes.split(
+        lambda part: _period_zeros(n, part, spf), primes, dump, rebuild)
     elim = bytearray((int.from_bytes(elim, "little")
                       | int.from_bytes(their_elim, "little"))
                      .to_bytes(n + 1, "little"))
-    return elim, (hit, counts), theirs
+    return elim, mine, theirs
 
 
 def _engine_numpy(n: int, primes: Sequence[int]) -> tuple[bytearray, dict[int, int]]:

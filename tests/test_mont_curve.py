@@ -715,6 +715,24 @@ class TestLanes:
               s.gcd_calls) for k, v, s in serial]
 
     @needs_lanes
+    def test_lanes_do_not_nest(self, lane_log, monkeypatch):
+        # with the CPU pins switched off both sides of a lane see two
+        # usable CPUs, so only the open lane keeps their chains on one
+        monkeypatch.setattr(lanes, "_pin", lambda cpus: None)
+
+        def labels(ks):
+            assert lanes.lane_obstacle() == \
+                "this process is a lane, or has one open"
+            return [run_pipeline(k).verdict.label() for k in ks]
+
+        mine, theirs = lanes.split(labels, [17, 18, 28, 38], list, list)
+        assert mine == theirs == ["Prime", "Prime"]
+        assert lane_log.read_text() == ""
+        assert lanes.lane_obstacle() is None  # the lane is closed
+        run_pipeline(17)  # so a chain here opens one again
+        assert lane_log.read_text().split() == [str(os.getpid())]
+
+    @needs_lanes
     def test_any_process_pool_worker_opens_no_lane(self, lane_log):
         # a pool search did not create; fork, so that the workers inherit
         # the forced crossovers and the spy

@@ -1,11 +1,10 @@
 """End-to-end verdicts, run statistics, and the range search."""
 
-import marshal
 import os
 
 import pytest
 
-from cm7prime import lanes, mont_curve, prover
+from cm7prime import lanes, prover
 from cm7prime.certificate import build_certificate, verify_certificate
 from cm7prime.jk_sequence import jk_closed
 from cm7prime.mont_curve import XZPoint
@@ -17,16 +16,9 @@ TABLE_PRIMES_TO_100 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
 
 
 _LANE_OBSTACLE = lanes.lane_obstacle()
-needs_a_lane = pytest.mark.skipif(
+needs_a_pool = pytest.mark.skipif(
     _LANE_OBSTACLE is not None,
-    reason=f"search cannot fork a lane here: {_LANE_OBSTACLE}")
-
-
-def _cpu_mask() -> set[int] | None:
-    """This process's CPU mask, where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return os.sched_getaffinity(0)
-    return None
+    reason=f"search with workers=1 opens no pool here: {_LANE_OBSTACLE}")
 
 
 def _strip(rows):
@@ -246,36 +238,60 @@ def _run_fields(verdict, stats):
             stats.step7_squarings, stats.step7_additions)
 
 
-class TestSearchLane:
-    """Without a pool, from _LANE_MIN_WORK on, a forked lane tests every
-    other survivor; the rows are test_jk's but for their timings."""
+def _dies_in_a_pool_worker(k):
+    """test_jk, except that a pool worker exits at once."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return prove_jk(k)
+
+
+def _raises_in_a_pool_worker(k):
+    """test_jk, except that a pool worker raises."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("the worker fails")
+    return prove_jk(k)
+
+
+class TestSearchPool:
+    """With workers=1, from _POOL_MIN_WORK on, a pool of every usable CPU
+    tests the survivors; the rows are test_jk's but for their timings."""
 
     @pytest.fixture
-    def lane_searches(self, monkeypatch):
-        """Force the search lane's gate down; log the survivors each
-        two-lane search was given."""
-        calls = []
-        two_lanes = prover._two_lanes
+    def pools(self, monkeypatch):
+        """Log each pool's max_workers."""
+        from concurrent.futures import ProcessPoolExecutor
 
-        def spy(ks):
-            calls.append(list(ks))
-            return two_lanes(ks)
+        sizes = []
 
-        monkeypatch.setattr(prover, "_LANE_MIN_WORK", 0)
-        monkeypatch.setattr(prover, "_two_lanes", spy)
-        return calls
+        class LoggedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
 
-    @needs_a_lane
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            LoggedPool)
+        return sizes
+
+    @pytest.fixture
+    def any_size_pools(self, pools, monkeypatch):
+        """pools, with the gate forced down to any search."""
+        monkeypatch.setattr(prover, "_POOL_MIN_WORK", 0)
+        return pools
+
+    @needs_a_pool
     @pytest.mark.parametrize("k_min, k_max", [(2, 200), (5, 5), (2, 3),
                                               (2, 4)])
-    def test_lanes_match_test_jk(self, k_min, k_max, lane_searches):
+    def test_pool_matches_test_jk(self, k_min, k_max, any_size_pools):
         # no sieving: (2, 200) has ForcedCongruence, NoSqrtMinus7 and
         # Prime rows; the others have 1, 2 and 3 survivors
-        mask = _cpu_mask()
         rows = search(k_min, k_max, 2)
         ks = list(range(k_min, k_max + 1))
-        assert lane_searches == [ks]
-        assert _cpu_mask() == mask  # the caller was pinned only meanwhile
+        assert any_size_pools == ([min(len(ks), lanes.usable_cpus())]
+                                  if len(ks) > 1 else [])
         assert [k for k, _, _ in rows] == ks
         assert [_run_fields(v, s) for _, v, s in rows] == \
             [_run_fields(*prove_jk(k)) for k in ks]
@@ -284,72 +300,53 @@ class TestSearchLane:
                 VerdictKind.FORCED_CONGRUENCE, VerdictKind.NO_SQRT_MINUS7,
                 VerdictKind.PRIME}
 
-    def test_small_searches_stay_inline(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(prover, "_two_lanes", calls.append)
+    @needs_a_pool
+    def test_the_gate_is_the_survivors_work(self, pools, monkeypatch):
+        ks = [k for k, _, _ in search(2, 80, 1000)]
+        assert pools == []
+        monkeypatch.setattr(prover, "_POOL_MIN_WORK",
+                            prover._survivor_work(ks))
+        search(2, 80, 1000)
+        assert len(pools) == 1
+        monkeypatch.setattr(prover, "_POOL_MIN_WORK",
+                            prover._survivor_work(ks) + 1)
+        search(2, 80, 1000)
+        assert len(pools) == 1
+
+    def test_small_searches_stay_inline(self, pools):
         ks = [k for k, _, _ in search(2, 400, 10**4)]
-        assert prover._lane_work(ks) < prover._LANE_MIN_WORK / 2
-        assert calls == []
+        assert prover._survivor_work(ks) < prover._POOL_MIN_WORK / 2
+        assert pools == []
 
-    @needs_a_lane
-    def test_lanes_do_not_nest(self, lane_searches, monkeypatch, tmp_path):
-        # with the CPU pins switched off both sides of a search see two
-        # usable CPUs, so only the open lane keeps their chains on one
-        log = tmp_path / "chain-lanes.txt"
-        log.write_text("")
-        two_lanes = mont_curve._two_lanes
+    @needs_a_pool
+    def test_a_second_thread_keeps_the_pool_shut(self, any_size_pools):
+        import threading
 
-        def spy(*args):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return two_lanes(*args)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            search(2, 80, 1000)
+        finally:
+            stop.set()
+            thread.join()
+        assert any_size_pools == []
 
-        monkeypatch.setattr(lanes, "_pin", lambda cpus: None)
-        monkeypatch.setattr(mont_curve, "_LANE_MIN_BITS", 0)
-        monkeypatch.setattr(mont_curve, "_LANE_MIN_COUNT", 1)
-        monkeypatch.setattr(mont_curve, "_two_lanes", spy)
-        rows = search(2, 60, 10**4)
-        assert len(lane_searches) == 1
-        assert sum(v.is_prime for _, v, _ in rows) > 2  # chains ran
-        assert log.read_text() == ""
-        assert lanes.lane_obstacle() is None  # the search's lane is closed
-        run_pipeline(17)  # so a chain here opens one again
-        assert log.read_text().split() == [str(os.getpid())]
+    @needs_a_pool
+    @pytest.mark.parametrize("how", ["exit", "raise"])
+    def test_a_lost_worker_raises_and_leaves_no_child(self, how,
+                                                      any_size_pools,
+                                                      monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
 
-    @needs_a_lane
-    @pytest.mark.parametrize("how", ["exit", "raise", "short", "garbled",
-                                     "kind", "missing"])
-    def test_a_lost_lane_raises_and_leaves_no_child(self, how,
-                                                    lane_searches,
-                                                    monkeypatch):
-        parent = os.getpid()
-        plain_runs = prover._plain_runs
-        dumps = marshal.dumps
-
-        def lane_fails(ks):
-            runs = plain_runs(ks)
-            if os.getpid() != parent:
-                if how == "exit":
-                    os._exit(0)
-                if how == "raise":
-                    raise RuntimeError("the lane fails")
-                if how == "kind":  # a verdict kind that does not exist
-                    runs[0] = ("Maybe", *runs[0][1:])
-                if how == "missing":  # one run short
-                    runs.pop()
-            return runs
-
-        monkeypatch.setattr(prover, "_plain_runs", lane_fails)
-        if how == "short":
-            monkeypatch.setattr(marshal, "dumps",
-                                lambda value: dumps(value)[:-1])
-        if how == "garbled":
-            monkeypatch.setattr(marshal, "dumps", lambda value: b"\xff" * 64)
-        mask = _cpu_mask()
-        with pytest.raises(lanes.LaneLost):
+        if how == "exit":
+            test_jk, error = _dies_in_a_pool_worker, BrokenProcessPool
+        else:
+            test_jk, error = _raises_in_a_pool_worker, RuntimeError
+        monkeypatch.setattr(prover, "test_jk", test_jk)
+        with pytest.raises(error):
             search(2, 40, 2)
-        assert len(lane_searches) == 1
+        assert len(any_size_pools) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # reaped, none left
-        assert _cpu_mask() == mask
-        assert lanes.lane_obstacle() is None
+        assert lanes.lane_obstacle() is None  # no pool thread left either
