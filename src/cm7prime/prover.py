@@ -30,9 +30,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from . import lanes
 from .jk_sequence import forced_composite, jk_closed
-from .lanes import usable_cpus
+from .lanes import lane_obstacle, usable_cpus
 from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
                          double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomerize, sqrt_minus7)
@@ -171,8 +170,8 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     usable CPUs) processes, each of which already holds a core, so their
     chains run on one lane.  workers=1 does the same with every usable
     CPU once the survivors' estimated work reaches _POOL_MIN_WORK and
-    lanes.lane_obstacle finds nothing in the way, since the pool forks
-    as a lane does; below that it tests them in this process.
+    lane_obstacle finds nothing in the way, since the pool forks as a
+    lane does; below that it tests them in this process.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -182,7 +181,7 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     report = sieve_range(max(k_max, 4), max(sieve_limit, 2))
     ks = [k for k in survivors(report) if k_min <= k <= k_max]
     if workers == 1 and _survivor_work(ks) >= _POOL_MIN_WORK \
-            and lanes.lane_obstacle() is None:
+            and lane_obstacle() is None:
         workers = usable_cpus()
     workers = min(workers, len(ks), usable_cpus())
     if workers <= 1:

@@ -329,7 +329,8 @@ class TestSearchPool:
             search(2, 80, 1000)
         finally:
             stop.set()
-            thread.join()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert any_size_pools == []
 
     @needs_a_pool
