@@ -1,30 +1,39 @@
 """Forked lanes: whether this process may fork one now, the fork that
-gives it a CPU of its own, and split, which shares a list of independent
-items between this process and a lane.
+gives it a CPU of its own, split, which shares a list of independent
+items between this process and a lane, and pool, which shares them out
+in chunks to several lanes while this process waits.
 
 A lane is a child process that computes one share of a result while its
-caller computes the rest: half of each doubling step (mont_curve) or
-every other sieving prime (sieve).  A lane costs a fork, so each caller
-opens one only above a measured size, and only where lane_obstacle finds
-nothing in the way (search's pool, which forks too, asks it as well):
+caller computes the rest (half of each doubling step in mont_curve,
+every other sieving prime in sieve), or, in a pool, one of several
+workers that test search's survivors chunk by chunk while the caller
+hands out the chunks.  A lane costs a fork, so each caller opens lanes
+only above a measured size, and only where lane_obstacle finds nothing
+in the way:
 
   * os.fork exists;
   * at least two CPUs are usable, read anew at each call, so a process
     pinned to one CPU opens no further lane;
   * the process has one thread, since the child could inherit a lock
     that another thread holds and hang on it;
-  * multiprocessing did not start the process, as it starts a pool
-    worker, whose siblings hold the other cores.  multiprocessing is
-    looked up in sys.modules, never imported: a process that has not
-    loaded it was not started by it;
+  * multiprocessing did not start the process, as it starts a worker of
+    some other process pool, whose siblings hold the other cores.
+    multiprocessing is looked up in sys.modules, never imported: a
+    process that has not loaded it was not started by it;
   * the process is not a lane and has none open, so lanes never nest,
     whether or not the CPU pins below took hold.
 
 In a fresh process the kernel often forks the child onto the caller's
 CPU and leaves it there, and then both run on one CPU for the whole
-computation.  So where os.sched_setaffinity exists, Lane pins the caller
-to the CPU it last ran on and the child to the next usable CPU, and
-restores the caller's CPU mask on every way out.
+computation.  So where os.sched_setaffinity exists, a Lane pins the
+caller to the CPU it last ran on and the child to the next usable CPU,
+and restores the caller's CPU mask on every way out.  A pool's workers
+are not pinned: its caller sleeps while they work, so the kernel spreads
+them, and each may move off a CPU that other work takes.
+
+Lanes send their results through pipes as messages of plain values:
+the length of the marshal data, in eight bytes, then the data (_send,
+_receive).
 """
 
 from __future__ import annotations
@@ -32,10 +41,12 @@ from __future__ import annotations
 import contextlib
 import marshal
 import os
+import select
 import signal
 import sys
 import threading
 from collections.abc import Callable, Sequence
+from functools import partial
 from typing import TypeVar
 
 _T = TypeVar("_T")
@@ -90,7 +101,8 @@ def _pin(cpus: set[int]) -> None:
 
 
 class Lane:
-    """A child process, forked on entry, that runs body() on its own CPU.
+    """A child process, forked on entry, that runs body() on its own CPU,
+    or wherever the kernel places it if pin is false.
 
     The child leaves only through os._exit, with status 0 once body()
     has returned and 1 if it raised, so it never flushes stdio buffers
@@ -100,8 +112,9 @@ class Lane:
     then lane_obstacle refuses a further lane, in the child as well.
     """
 
-    def __init__(self, body: Callable[[], object]) -> None:
+    def __init__(self, body: Callable[[], object], pin: bool = True) -> None:
         self._body = body
+        self._placed = pin
         self._mask: set[int] | None = None
         self._pid = 0
         self._status: int | None = None  # waitpid status, once reaped
@@ -109,7 +122,7 @@ class Lane:
     def __enter__(self) -> "Lane":
         global _in_lane
         there = None
-        if hasattr(os, "sched_setaffinity"):
+        if self._placed and hasattr(os, "sched_setaffinity"):
             self._mask = os.sched_getaffinity(0)
             cpus = sorted(self._mask)
             here = _last_cpu()
@@ -162,39 +175,139 @@ class Lane:
             _pin(self._mask)
 
 
+def _send(pipe, value: object) -> None:
+    """Write value to pipe, an unbuffered binary file, as one message."""
+    data = marshal.dumps(value)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[pipe.write(view):]
+
+
+def _receive(pipe) -> object:
+    """The next message that _send wrote to pipe, an unbuffered binary
+    file.  A pipe that ends first, or a message that marshal cannot
+    read, raises LaneLost."""
+    data = _read(pipe, int.from_bytes(_read(pipe, 8), "little"))
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError, TypeError) as e:
+        raise LaneLost("a lane sent a malformed message") from e
+
+
+def _read(pipe, size: int) -> bytes:
+    """size bytes from pipe, read a pipe's capacity at a time, so a
+    garbled length costs no more memory than the bytes that arrive."""
+    parts = []
+    while size:
+        part = pipe.read(min(size, 1 << 16))  # retried after a signal
+        if not part:
+            raise LaneLost("a lane ended before it sent all")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _pipe():
+    """A new pipe's two ends as unbuffered binary files: (read, write)."""
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)
+
+
 def split(work: Callable[[Sequence], _T], items: Sequence,
           dump: Callable[[_T], object],
           rebuild: Callable[[object], _R]) -> tuple[_T, _R]:
     """work(items[::2]) in this process and work(items[1::2]) in a Lane,
     computed at the same time.
 
-    The lane sends dump(work(items[1::2])) through a pipe in one marshal
-    message, so dump must return values that marshal writes; bytes-like
+    The lane sends dump(work(items[1::2])) through a pipe in one message
+    (_send), so dump must return values that marshal writes; bytes-like
     ones, such as a bytearray or an array, arrive as bytes.  This process
-    runs its share, then blocks on the pipe until the lane has sent all
-    and exited.  rebuild turns the lane's message back into what work
-    returns and raises ValueError or TypeError on one of the wrong shape.
-    A lane that exits nonzero, or sends a message that marshal cannot
-    read or that rebuild rejects, raises LaneLost: no partial result is
-    returned.  A lane whose caller was killed runs its share to the end
-    and exits when it finds the pipe closed.
+    runs its share, then blocks on the pipe until the lane has sent all.
+    rebuild turns the lane's message back into what work returns and
+    raises ValueError or TypeError on one of the wrong shape.  A lane
+    that ends before it has sent all, or sends a message that marshal
+    cannot read or that rebuild rejects, raises LaneLost: no partial
+    result is returned.  A lane whose caller was killed runs its share
+    to the end and exits when it finds the pipe closed.
     """
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as inbox, open(write_fd, "wb") as outbox:
-        def lane() -> None:
-            outbox.write(marshal.dumps(dump(work(items[1::2]))))
-            outbox.flush()
-
-        with Lane(lane) as other:
+    inbox, outbox = _pipe()
+    with inbox, outbox:
+        with Lane(lambda: _send(outbox, dump(work(items[1::2])))):
             outbox.close()  # so inbox ends when the lane does
             mine = work(items[::2])
-            sent = inbox.read()  # retried after a signal handler (PEP 475)
-            code = other.wait()
-    lost = LaneLost(f"a lane exited with code {code} after sending "
-                    f"{len(sent)} bytes")
-    if code != 0:
-        raise lost
+            sent = _receive(inbox)
     try:
-        return mine, rebuild(marshal.loads(sent))
-    except (EOFError, ValueError, TypeError) as e:
-        raise lost from e
+        return mine, rebuild(sent)
+    except (ValueError, TypeError) as e:
+        raise LaneLost("a lane sent a malformed share") from e
+
+
+def pool(work: Callable[[_T], object], items: Sequence[_T], workers: int,
+         chunk: int, rebuild: Callable[[object], _R]) -> list[_R]:
+    """[rebuild(work(item)) for item in items], with work run by up to
+    `workers` Lanes at once while this process hands out the items.
+
+    Each worker inherits items, so this process sends it only the bounds
+    of its next chunk of at most `chunk` indices, and the chunks go out
+    from the end of items down: a caller that puts its costliest items
+    last finishes on the cheapest.  The worker sends back what work
+    returned for each item of the chunk in one message (_send), so work
+    must return values that marshal writes.  This process waits on every
+    worker's pipe at once, rebuilds each value in its item's place and
+    gives that worker the next chunk.  rebuild raises ValueError or
+    TypeError on a value of the wrong shape.  A worker that ends, or
+    sends a message that marshal cannot read, with a value too many or
+    too few, or one that rebuild rejects, raises LaneLost: no partial
+    result is returned.  On every way out each worker is killed and
+    reaped.  A worker whose caller was killed exits when it finds its
+    pipe closed.
+    """
+    chunks = [(start, min(start + chunk, len(items)))
+              for start in range(0, len(items), chunk)]
+    rows: list = [None] * len(items)
+    pipes = {}  # the fd of a worker's replies: (replies, requests to it)
+    given = {}  # the fd of a busy worker's replies: the chunk it works on
+    waiting = select.poll()
+    with contextlib.ExitStack() as stack:
+        for _ in range(min(workers, len(chunks))):
+            requests, ask = map(stack.enter_context, _pipe())
+            replies, answer = map(stack.enter_context, _pipe())
+            pipes[replies.fileno()] = replies, ask
+            stack.enter_context(Lane(partial(_work, work, items, requests,
+                                             answer, pipes), pin=False))
+            requests.close()
+            answer.close()
+        for fd, (replies, ask) in pipes.items():
+            waiting.register(replies, select.POLLIN)
+            given[fd] = chunks.pop()
+            _send(ask, given[fd])
+        while given:
+            for fd, _ in waiting.poll():  # retried after a signal
+                replies, ask = pipes[fd]
+                start, stop = given.pop(fd)
+                sent = _receive(replies)
+                try:
+                    if len(sent) != stop - start:
+                        raise ValueError(f"{len(sent)} values for "
+                                         f"{stop - start} items")
+                    rows[start:stop] = map(rebuild, sent)
+                except (ValueError, TypeError) as e:
+                    raise LaneLost("a worker sent a malformed chunk") from e
+                if chunks:
+                    given[fd] = chunks.pop()
+                    _send(ask, given[fd])
+                else:
+                    waiting.unregister(fd)
+    return rows
+
+
+def _work(work: Callable[[_T], object], items: Sequence[_T], requests,
+          answer, pipes: dict) -> None:
+    """A pool worker: work over each chunk that requests brings, sent
+    back through answer, until requests ends."""
+    for ends in pipes.values():  # the caller's, of every worker so far
+        for end in ends:
+            end.close()
+    while True:
+        start, stop = _receive(requests)
+        _send(answer, [work(items[i]) for i in range(start, stop)])

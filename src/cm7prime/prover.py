@@ -27,11 +27,11 @@ the whole run at most 6.5k multiplications-plus-squarings for large k).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 from .jk_sequence import forced_composite, jk_closed
-from .lanes import lane_obstacle, usable_cpus
+from .lanes import lane_obstacle, pool, usable_cpus
 from .mont_curve import (ModulusCtx, NonInvertibleError, OpCounts, XZPoint,
                          double_chain, is_strongly_nonzero, is_zero_mod,
                          montgomerize, sqrt_minus7)
@@ -44,6 +44,9 @@ from .twist_tables import select_twist
 # measured crossover, where a pool of two costs what the second CPU saves
 # (README, Performance notes).
 _POOL_MIN_WORK = 15 * 10**6
+
+# survivors per chunk that search's pool hands a worker at a time
+_POOL_CHUNK = 8
 
 
 class VerdictKind(Enum):
@@ -166,12 +169,13 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     A sieve_limit below 3 sieves by no prime, so every k is tested.
     Results are identical for any worker count, and so are the rows but
     for their timing fields: elapsed, step2_seconds and step7_seconds.
-    workers > 1 spreads survivors over at most min(workers, survivors,
-    usable CPUs) processes, each of which already holds a core, so their
-    chains run on one lane.  workers=1 does the same with every usable
-    CPU once the survivors' estimated work reaches _POOL_MIN_WORK and
-    lane_obstacle finds nothing in the way, since the pool forks as a
-    lane does; below that it tests them in this process.
+    workers > 1 spreads survivors over a lanes.pool of at most
+    min(workers, survivors, usable CPUs) forked workers, each of which
+    holds a core, so their chains run on one lane.  workers=1 does the
+    same with every usable CPU once the survivors' estimated work
+    reaches _POOL_MIN_WORK.  Either way the pool opens only where
+    lane_obstacle finds nothing in the way, since it forks as a lane
+    does; otherwise this process tests the survivors itself.
     """
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -180,17 +184,27 @@ def search(k_min: int, k_max: int, sieve_limit: int,
     # the sieve needs n >= 4 and L >= 2; no J_k is <= 2
     report = sieve_range(max(k_max, 4), max(sieve_limit, 2))
     ks = [k for k in survivors(report) if k_min <= k <= k_max]
-    if workers == 1 and _survivor_work(ks) >= _POOL_MIN_WORK \
-            and lane_obstacle() is None:
+    if workers == 1 and _survivor_work(ks) >= _POOL_MIN_WORK:
         workers = usable_cpus()
     workers = min(workers, len(ks), usable_cpus())
-    if workers <= 1:
-        runs = map(test_jk, ks)
+    if workers > 1 and lane_obstacle() is None:
+        runs = pool(_plain_run, ks, workers, _POOL_CHUNK, _run)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(test_jk, ks, chunksize=8))
+        runs = map(test_jk, ks)
     return [(k, verdict, stats) for k, (verdict, stats) in zip(ks, runs)]
+
+
+def _plain_run(k: int) -> tuple:
+    """test_jk(k) as plain values that marshal writes."""
+    verdict, stats = test_jk(k)
+    return (verdict.kind.value, verdict.witness, *astuple(stats))
+
+
+def _run(plain) -> tuple[Verdict, RunStats]:
+    """_plain_run's values back as test_jk's result; ValueError or
+    TypeError unless they have its shape."""
+    kind, witness, *stats = plain
+    return Verdict(VerdictKind(kind), witness), RunStats(*stats)
 
 
 def _survivor_work(ks: list[int]) -> int:

@@ -703,7 +703,7 @@ class TestLanes:
 
     @needs_lanes
     def test_search_pool_workers_open_no_lane(self, lane_log):
-        # the workers see that multiprocessing started them
+        # the workers are lanes, so lanes.lane_obstacle refuses them one
         pooled = search(2, 400, 10**4, workers=2)
         assert lane_log.read_text() == ""
         serial = search(2, 400, 10**4, workers=1)  # the same chains, here

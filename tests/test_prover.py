@@ -1,6 +1,10 @@
 """End-to-end verdicts, run statistics, and the range search."""
 
+import marshal
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from cm7prime.mont_curve import XZPoint
 from cm7prime.prover import VerdictKind, run_pipeline, search
 from cm7prime.prover import test_jk as prove_jk
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 TABLE_PRIMES_TO_100 = [2, 3, 4, 5, 7, 9, 10, 17, 18, 28, 38, 49, 53, 60, 63,
                        65, 77, 84, 87, 100]
 
@@ -19,6 +25,13 @@ _LANE_OBSTACLE = lanes.lane_obstacle()
 needs_a_pool = pytest.mark.skipif(
     _LANE_OBSTACLE is not None,
     reason=f"search with workers=1 opens no pool here: {_LANE_OBSTACLE}")
+
+
+def _cpu_mask() -> set[int] | None:
+    """This process's CPU mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return None
 
 
 def _strip(rows):
@@ -172,26 +185,18 @@ class TestSearch:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Replace the process pool by a serial map recording max_workers."""
+        """Replace search's pool by a serial map recording its workers."""
         sizes = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def serial_pool(work, items, workers, chunk, rebuild):
+            sizes.append(workers)
+            return [rebuild(work(item)) for item in items]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(prover, "pool", serial_pool)
         monkeypatch.setattr(prover, "usable_cpus", lambda: 4)
         return sizes
 
+    @needs_a_pool
     def test_workers_are_bounded_by_cpu_count(self, pool_sizes):
         rows = search(2, 80, 1000, workers=10**6)
         assert pool_sizes == [4]
@@ -211,6 +216,7 @@ class TestSearch:
             os.sched_setaffinity(0, mask)
         assert pool_sizes == []
 
+    @needs_a_pool
     def test_workers_are_bounded_by_candidates(self, pool_sizes):
         rows = search(2, 4, 2, workers=10)  # no sieving: k = 2, 3, 4
         assert pool_sizes == [3]
@@ -238,42 +244,20 @@ def _run_fields(verdict, stats):
             stats.step7_squarings, stats.step7_additions)
 
 
-def _dies_in_a_pool_worker(k):
-    """test_jk, except that a pool worker exits at once."""
-    import multiprocessing
-
-    if multiprocessing.parent_process() is not None:
-        os._exit(3)
-    return prove_jk(k)
-
-
-def _raises_in_a_pool_worker(k):
-    """test_jk, except that a pool worker raises."""
-    import multiprocessing
-
-    if multiprocessing.parent_process() is not None:
-        raise RuntimeError("the worker fails")
-    return prove_jk(k)
-
-
 class TestSearchPool:
     """With workers=1, from _POOL_MIN_WORK on, a pool of every usable CPU
     tests the survivors; the rows are test_jk's but for their timings."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Log each pool's max_workers."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """Log the workers of each pool that search opens."""
         sizes = []
 
-        class LoggedPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        def logged_pool(work, items, workers, *args):
+            sizes.append(workers)
+            return lanes.pool(work, items, workers, *args)
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            LoggedPool)
+        monkeypatch.setattr(prover, "pool", logged_pool)
         return sizes
 
     @pytest.fixture
@@ -320,6 +304,8 @@ class TestSearchPool:
 
     @needs_a_pool
     def test_a_second_thread_keeps_the_pool_shut(self, any_size_pools):
+        # a fork beside another thread could inherit a lock it holds,
+        # whatever the worker count asks for
         import threading
 
         stop = threading.Event()
@@ -327,6 +313,7 @@ class TestSearchPool:
         thread.start()
         try:
             search(2, 80, 1000)
+            search(2, 80, 1000, workers=2)
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -334,20 +321,60 @@ class TestSearchPool:
         assert any_size_pools == []
 
     @needs_a_pool
-    @pytest.mark.parametrize("how", ["exit", "raise"])
+    @pytest.mark.parametrize("how", ["exit", "raise", "garbage", "missing",
+                                     "kind"])
     def test_a_lost_worker_raises_and_leaves_no_child(self, how,
                                                       any_size_pools,
                                                       monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
+        parent = os.getpid()
+        plain_run, dumps = prover._plain_run, marshal.dumps
 
-        if how == "exit":
-            test_jk, error = _dies_in_a_pool_worker, BrokenProcessPool
-        else:
-            test_jk, error = _raises_in_a_pool_worker, RuntimeError
-        monkeypatch.setattr(prover, "test_jk", test_jk)
-        with pytest.raises(error):
+        def worker_fails(k):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(3)
+                if how == "raise":
+                    raise RuntimeError("the worker fails")
+                if how == "kind":  # a verdict kind that does not exist
+                    return ("Maybe", *plain_run(k)[1:])
+            return plain_run(k)
+
+        def worker_dumps(value):
+            if os.getpid() != parent:
+                if how == "garbage":
+                    return b"\xff" * 64
+                if how == "missing":  # one value short of its chunk
+                    return dumps(value[:-1])
+            return dumps(value)
+
+        monkeypatch.setattr(prover, "_plain_run", worker_fails)
+        monkeypatch.setattr(marshal, "dumps", worker_dumps)
+        mask = _cpu_mask()
+        with pytest.raises(lanes.LaneLost):
             search(2, 40, 2)
         assert len(any_size_pools) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # reaped, none left
-        assert lanes.lane_obstacle() is None  # no pool thread left either
+        assert _cpu_mask() == mask
+        assert lanes.lane_obstacle() is None
+
+    @needs_a_pool
+    def test_the_pool_loads_no_process_pool_modules(self):
+        # nor what they import: a pooled search stays as small as an
+        # inline one
+        code = ("import os, sys\n"
+                "from cm7prime import prover\n"
+                "fork, forks = os.fork, []\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                "prover._POOL_MIN_WORK = 0\n"
+                "rows = prover.search(2, 200, 10**4)\n"
+                "print(len(rows), len(forks) > 0, *(name for name in"
+                " ('concurrent.futures', 'multiprocessing', 'pickle',"
+                " 'socket', 'subprocess') if name in sys.modules))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"{len(search(2, 200, 10**4))} True\n"
