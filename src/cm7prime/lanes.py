@@ -41,7 +41,6 @@ from __future__ import annotations
 import contextlib
 import marshal
 import os
-import select
 import signal
 import sys
 import threading
@@ -195,8 +194,8 @@ def _receive(pipe) -> object:
 
 
 def _read(pipe, size: int) -> bytes:
-    """size bytes from pipe, read a pipe's capacity at a time, so a
-    garbled length costs no more memory than the bytes that arrive."""
+    """size bytes from pipe, at most a pipe's capacity per read, which is
+    as much as one read returns."""
     parts = []
     while size:
         part = pipe.read(min(size, 1 << 16))  # retried after a signal
@@ -262,6 +261,8 @@ def pool(work: Callable[[_T], object], items: Sequence[_T], workers: int,
     reaped.  A worker whose caller was killed exits when it finds its
     pipe closed.
     """
+    import select  # not at module level, to keep import cm7prime small
+
     chunks = [(start, min(start + chunk, len(items)))
               for start in range(0, len(items), chunk)]
     rows: list = [None] * len(items)
