@@ -185,7 +185,8 @@ class TestSearch:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Replace search's pool by a serial map recording its workers."""
+        """Replace search's pool by a serial map recording its workers,
+        with nothing in the pool's way."""
         sizes = []
 
         def serial_pool(work, items, workers, chunk, rebuild):
@@ -194,9 +195,9 @@ class TestSearch:
 
         monkeypatch.setattr(prover, "pool", serial_pool)
         monkeypatch.setattr(prover, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(prover, "lane_obstacle", lambda: None)
         return sizes
 
-    @needs_a_pool
     def test_workers_are_bounded_by_cpu_count(self, pool_sizes):
         rows = search(2, 80, 1000, workers=10**6)
         assert pool_sizes == [4]
@@ -216,7 +217,6 @@ class TestSearch:
             os.sched_setaffinity(0, mask)
         assert pool_sizes == []
 
-    @needs_a_pool
     def test_workers_are_bounded_by_candidates(self, pool_sizes):
         rows = search(2, 4, 2, workers=10)  # no sieving: k = 2, 3, 4
         assert pool_sizes == [3]
